@@ -97,16 +97,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _morph_from_args(args, default=None):
-    if args.morph is None:
-        return default
-    if args.morph.lower() in ("none", "off"):
+def _morph_arg(text: str) -> MorphFilterSpec | None:
+    """``--morph`` value: ``open_width,close_width[,order]``, or none/off for no filter."""
+    if text.lower() in ("none", "off"):
         return None
-    parts = args.morph.split(",")
-    spec = {"open_width": int(parts[0]), "close_width": int(parts[1])}
-    if len(parts) > 2:
-        spec["order"] = parts[2]
-    return MorphFilterSpec(**spec)
+    parts = text.split(",")
+    try:
+        if len(parts) not in (2, 3):
+            raise ValueError("expected open_width,close_width[,order]")
+        return MorphFilterSpec(int(parts[0]), int(parts[1]), *parts[2:])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:
@@ -114,7 +115,7 @@ def cmd_evaluate(args) -> int:
     feature_spec = FeatureSpec.from_dict(meta["features"])
     threshold = args.threshold if args.threshold is not None else meta.get("threshold", 0.5)
     default_morph = MorphFilterSpec(**meta["morph"]) if meta.get("morph") else None
-    post = _morph_from_args(args, default_morph)
+    post = getattr(args, "morph", default_morph)
     corpus = load_corpus(args.data)
     report = harness.evaluate_model(model, threshold, list(corpus.values()),
                                     feature_spec, post_filter=post)
@@ -190,7 +191,9 @@ def main(argv=None) -> int:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--morph", help="open_width,close_width[,order] or 'none'")
+    p.add_argument("--morph", type=_morph_arg, default=argparse.SUPPRESS,
+                   help="open_width,close_width[,order] or 'none' "
+                        "(default: the checkpoint's filter)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="final-model feature-subset ablation")

@@ -118,18 +118,6 @@ class HarnessConfig:
         return cls(**d)
 
 
-def architecture_search_config(base: HarnessConfig | None = None) -> HarnessConfig:
-    """The bounded search regime: small cells, capped epochs, many repeats."""
-    base = base or HarnessConfig()
-    train = TrainConfig.from_dict({**base.train.to_dict(),
-                                   "epochs": min(base.train.epochs, 40)})
-    return HarnessConfig(
-        train=train, channels=base.channels, window=base.window,
-        n_folds=base.n_folds, test_fraction=base.test_fraction,
-        split_seed=base.split_seed, repeats=30, morph=base.morph,
-        final_hidden=8, final_dense=8, final_dropout=base.final_dropout)
-
-
 @dataclass
 class ExperimentResult:
     model_tag: str
@@ -141,19 +129,25 @@ class ExperimentResult:
     config: dict
     error: str | None = None
 
+    def _pqs(self) -> list[float]:
+        # a run cut short by divergence would rank its finished folds alone
+        return [r.pq for r in self.fold_reports] if self.error is None else []
+
     @property
     def mean_pq(self) -> float:
-        """Mean of the per-fold PQs.
+        """Mean of the per-fold PQs; NaN when the run failed (``error`` set).
 
         This is not R / (R + ΣErr) of the summed `agg_r` / `agg_sum_err`:
         the mean of ratios is not the ratio of sums, so a row of these three
         figures need not satisfy the PQ identity that criterion c1 checks.
         """
-        return float(np.mean([r.pq for r in self.fold_reports])) if self.fold_reports else float("nan")
+        pqs = self._pqs()
+        return float(np.mean(pqs)) if pqs else float("nan")
 
     @property
     def std_pq(self) -> float:
-        return float(np.std([r.pq for r in self.fold_reports])) if self.fold_reports else float("nan")
+        pqs = self._pqs()
+        return float(np.std(pqs)) if pqs else float("nan")
 
     @property
     def agg_r(self) -> int:
@@ -168,8 +162,8 @@ class ExperimentResult:
             "model": self.model_tag,
             "channels": list(self.channels),
             "window": self.window,
-            "mean_pq": self.mean_pq,
-            "std_pq": self.std_pq,
+            "mean_pq": None if self.error else self.mean_pq,
+            "std_pq": None if self.error else self.std_pq,
             "agg_r": self.agg_r,
             "agg_sum_err": self.agg_sum_err,
             "thresholds": self.thresholds,
@@ -316,8 +310,8 @@ def format_results_table(results: list[ExperimentResult]) -> str:
             "(" + ",".join(res.channels) + ")" + (f" w={res.window}" if res.window else ""),
             str(res.agg_r),
             str(res.agg_sum_err),
-            f"{res.mean_pq:.3f}" if res.fold_reports else "-",
-            f"{res.std_pq:.3f}" if res.fold_reports else "-",
+            "-" if np.isnan(res.mean_pq) else f"{res.mean_pq:.3f}",
+            "-" if np.isnan(res.std_pq) else f"{res.std_pq:.3f}",
         ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []

@@ -72,68 +72,43 @@ class DenseParams:
         return self.weights.shape[0]
 
 
+GATES = {"simplernn": ("h",), "lstm": ("i", "f", "o", "c"), "gru": ("z", "r", "h")}
+
+
 @dataclass
-class SimpleRNNParams:
-    w: np.ndarray  # (h, in)
-    u: np.ndarray  # (h, h)
-    b: np.ndarray  # (h,)
+class CellParams:
+    """Recurrent cell with its G = len(GATES[kind]) gates stacked row-wise.
+
+    Gate k of ``GATES[kind]`` owns rows ``k*h:(k+1)*h`` of ``w``, ``u`` and
+    ``b``: the packed layout of cuDNN and PyTorch's ``weight_ih_l0``.
+    """
+
+    kind: str
+    w: np.ndarray  # (G*h, in)
+    u: np.ndarray  # (G*h, h)
+    b: np.ndarray  # (G*h,)
+
+    def __post_init__(self):
+        if self.kind not in GATES:
+            raise ValueError(f"unknown cell kind {self.kind!r}")
+        if not (self.w.ndim == self.u.ndim == 2 and self.b.ndim == 1
+                and self.w.shape[0] == self.u.shape[0] == self.b.shape[0]
+                == len(GATES[self.kind]) * self.u.shape[1]):
+            raise ValueError(
+                f"inconsistent {self.kind} cell dimensions: w {self.w.shape}, "
+                f"u {self.u.shape}, b {self.b.shape}")
 
     @property
     def hidden(self) -> int:
-        return self.w.shape[0]
+        return self.u.shape[1]
 
     @property
     def in_dim(self) -> int:
         return self.w.shape[1]
 
     def zero_state(self):
-        return np.zeros(self.hidden)
-
-
-_LSTM_GATES = ("i", "f", "o", "c")
-
-
-@dataclass
-class LSTMParams:
-    w_i: np.ndarray; w_f: np.ndarray; w_o: np.ndarray; w_c: np.ndarray  # (h, in)
-    u_i: np.ndarray; u_f: np.ndarray; u_o: np.ndarray; u_c: np.ndarray  # (h, h)
-    b_i: np.ndarray; b_f: np.ndarray; b_o: np.ndarray; b_c: np.ndarray  # (h,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w_i.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.w_i.shape[1]
-
-    def zero_state(self):
         h = self.hidden
-        return (np.zeros(h), np.zeros(h))
-
-
-_GRU_GATES = ("z", "r", "h")
-
-
-@dataclass
-class GRUParams:
-    w_z: np.ndarray; w_r: np.ndarray; w_h: np.ndarray  # (h, in)
-    u_z: np.ndarray; u_r: np.ndarray; u_h: np.ndarray  # (h, h)
-    b_z: np.ndarray; b_r: np.ndarray; b_h: np.ndarray  # (h,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.w_z.shape[1]
-
-    def zero_state(self):
-        return np.zeros(self.hidden)
-
-
-CellParams = SimpleRNNParams | LSTMParams | GRUParams
+        return (np.zeros(h), np.zeros(h)) if self.kind == "lstm" else np.zeros(h)
 
 
 @dataclass
@@ -170,21 +145,8 @@ class ModelParams:
 def param_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Named parameter arrays in a fixed, stable order."""
     out: list[tuple[str, np.ndarray]] = []
-    cell = model.cell
-    if isinstance(cell, SimpleRNNParams):
-        out += [("cell.w", cell.w), ("cell.u", cell.u), ("cell.b", cell.b)]
-    elif isinstance(cell, LSTMParams):
-        for g in _LSTM_GATES:
-            out += [(f"cell.w_{g}", getattr(cell, f"w_{g}")),
-                    (f"cell.u_{g}", getattr(cell, f"u_{g}")),
-                    (f"cell.b_{g}", getattr(cell, f"b_{g}"))]
-    elif isinstance(cell, GRUParams):
-        for g in _GRU_GATES:
-            out += [(f"cell.w_{g}", getattr(cell, f"w_{g}")),
-                    (f"cell.u_{g}", getattr(cell, f"u_{g}")),
-                    (f"cell.b_{g}", getattr(cell, f"b_{g}"))]
-    elif cell is not None:
-        raise TypeError(f"unknown cell type {type(cell)}")
+    if model.cell is not None:
+        out += [("cell.w", model.cell.w), ("cell.u", model.cell.u), ("cell.b", model.cell.b)]
     for i, layer in enumerate(model.dense):
         out += [(f"dense{i}.weights", layer.weights), (f"dense{i}.bias", layer.bias)]
     return out
@@ -240,46 +202,41 @@ def init_mlp(in_dim: int, hidden: int = 12, seed: int = 0) -> ModelParams:
     return ModelParams("mlp", None, dense, seed=seed)
 
 
-def init_simplernn(in_dim: int, hidden: int = 8, seed: int = 0) -> ModelParams:
+def _init_cell(rng, kind: str, in_dim: int, hidden: int) -> CellParams:
+    """Draw each gate's input then recurrent block, in ``GATES[kind]`` order."""
+    w, u = [], []
+    for _ in GATES[kind]:
+        w.append(_glorot(rng, hidden, in_dim))
+        u.append(_recurrent_init(rng, hidden))
+    b = np.zeros(len(w) * hidden)
+    if kind == "lstm":
+        b[hidden:2 * hidden] = 1.0  # open forget gate at start of training
+    return CellParams(kind, np.vstack(w), np.vstack(u), b)
+
+
+def _init_recurrent(kind: str, in_dim: int, hidden: int, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
-    cell = SimpleRNNParams(_glorot(rng, hidden, in_dim), _recurrent_init(rng, hidden),
-                           np.zeros(hidden))
-    return ModelParams("simplernn", cell,
-                       _dense_stack(rng, [(hidden, 1, "sigmoid")]), seed=seed)
+    cell = _init_cell(rng, kind, in_dim, hidden)
+    return ModelParams(kind, cell, _dense_stack(rng, [(hidden, 1, "sigmoid")]), seed=seed)
 
 
-def _init_lstm_cell(rng, in_dim, hidden) -> LSTMParams:
-    kw = {}
-    for g in _LSTM_GATES:
-        kw[f"w_{g}"] = _glorot(rng, hidden, in_dim)
-        kw[f"u_{g}"] = _recurrent_init(rng, hidden)
-        kw[f"b_{g}"] = np.zeros(hidden)
-    kw["b_f"] = np.ones(hidden)  # open forget gate at start of training
-    return LSTMParams(**kw)
+def init_simplernn(in_dim: int, hidden: int = 8, seed: int = 0) -> ModelParams:
+    return _init_recurrent("simplernn", in_dim, hidden, seed)
 
 
 def init_lstm(in_dim: int, hidden: int = 8, seed: int = 0) -> ModelParams:
-    rng = np.random.default_rng(seed)
-    cell = _init_lstm_cell(rng, in_dim, hidden)
-    return ModelParams("lstm", cell, _dense_stack(rng, [(hidden, 1, "sigmoid")]), seed=seed)
+    return _init_recurrent("lstm", in_dim, hidden, seed)
 
 
 def init_gru(in_dim: int, hidden: int = 8, seed: int = 0) -> ModelParams:
-    rng = np.random.default_rng(seed)
-    kw = {}
-    for g in _GRU_GATES:
-        kw[f"w_{g}"] = _glorot(rng, hidden, in_dim)
-        kw[f"u_{g}"] = _recurrent_init(rng, hidden)
-        kw[f"b_{g}"] = np.zeros(hidden)
-    cell = GRUParams(**kw)
-    return ModelParams("gru", cell, _dense_stack(rng, [(hidden, 1, "sigmoid")]), seed=seed)
+    return _init_recurrent("gru", in_dim, hidden, seed)
 
 
 def init_final(in_dim: int, lstm_units: int = 16, dense_units: int = 8,
                dropout_p: float = 0.2, seed: int = 0) -> ModelParams:
     """Stacked detector: LSTM -> dropout -> dense(relu) -> dropout -> dense(sigmoid)."""
     rng = np.random.default_rng(seed)
-    cell = _init_lstm_cell(rng, in_dim, lstm_units)
+    cell = _init_cell(rng, "lstm", in_dim, lstm_units)
     dense = _dense_stack(rng, [(lstm_units, dense_units, "relu"),
                                (dense_units, 1, "sigmoid")])
     return ModelParams("final", cell, dense, dropout_p=dropout_p, seed=seed)
@@ -294,27 +251,25 @@ def cell_step(cell: CellParams, x: np.ndarray, state):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cell.in_dim,):
         raise ValueError(f"input shape {x.shape} != ({cell.in_dim},)")
-    if isinstance(cell, SimpleRNNParams):
-        h = np.asarray(state, dtype=np.float64)
-        h_new = np.tanh(cell.w @ x + cell.u @ h + cell.b)
-        return h_new, h_new
-    if isinstance(cell, LSTMParams):
+    n = cell.hidden
+    zx = cell.w @ x + cell.b
+    if cell.kind == "lstm":
         h, c = (np.asarray(s, dtype=np.float64) for s in state)
-        i = expit(cell.w_i @ x + cell.u_i @ h + cell.b_i)
-        f = expit(cell.w_f @ x + cell.u_f @ h + cell.b_f)
-        o = expit(cell.w_o @ x + cell.u_o @ h + cell.b_o)
-        g = np.tanh(cell.w_c @ x + cell.u_c @ h + cell.b_c)
+        a = zx + cell.u @ h
+        i, f, o = expit(a[:n]), expit(a[n:2 * n]), expit(a[2 * n:3 * n])
+        g = np.tanh(a[3 * n:])
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
         return h_new, (h_new, c_new)
-    if isinstance(cell, GRUParams):
-        h = np.asarray(state, dtype=np.float64)
-        z = expit(cell.w_z @ x + cell.u_z @ h + cell.b_z)
-        r = expit(cell.w_r @ x + cell.u_r @ h + cell.b_r)
-        h_tilde = np.tanh(cell.w_h @ x + cell.u_h @ (r * h) + cell.b_h)
-        h_new = (1.0 - z) * h + z * h_tilde
+    h = np.asarray(state, dtype=np.float64)
+    if cell.kind == "simplernn":
+        h_new = np.tanh(zx + cell.u @ h)
         return h_new, h_new
-    raise TypeError(f"unknown cell type {type(cell)}")
+    zr = expit(zx[:2 * n] + cell.u[:2 * n] @ h)
+    z, r = zr[:n], zr[n:]
+    h_tilde = np.tanh(zx[2 * n:] + cell.u[2 * n:] @ (r * h))
+    h_new = (1.0 - z) * h + z * h_tilde
+    return h_new, h_new
 
 
 # ---------------------------------------------------------------------------
@@ -333,54 +288,53 @@ def _dropout_masks(model: ModelParams, mode: str, rng) -> list[np.ndarray | None
 
 
 def _cell_forward(cell: CellParams, x: np.ndarray) -> dict:
-    """Run the cell over the whole sequence, keeping per-step caches."""
+    """Run the cell over the whole sequence, keeping per-step caches.
+
+    ``A`` (T, G*h) holds the gate pre-activations ``x @ w.T + b``; step t adds
+    its recurrent term to row t and overwrites it with the gate activations,
+    so the backward pass reads gate k of step t from ``A[t, k*h:(k+1)*h]``.
+    """
     T = x.shape[0]
-    h_dim = cell.hidden
-    H = np.zeros((T, h_dim))
-    cache = {"x": x, "H": H}
-    if isinstance(cell, SimpleRNNParams):
-        zx = x @ cell.w.T + cell.b
-        h = np.zeros(h_dim)
+    n = cell.hidden
+    A = x @ cell.w.T
+    A += cell.b
+    cache = {"x": x, "A": A}
+    h = np.zeros(n)
+    if cell.kind == "simplernn":
         for t in range(T):
-            h = np.tanh(zx[t] + cell.u @ h)
-            H[t] = h
-    elif isinstance(cell, LSTMParams):
-        I, F, O, G = (np.zeros((T, h_dim)) for _ in range(4))
-        C = np.zeros((T, h_dim))
-        TC = np.zeros((T, h_dim))
-        zx_i = x @ cell.w_i.T + cell.b_i
-        zx_f = x @ cell.w_f.T + cell.b_f
-        zx_o = x @ cell.w_o.T + cell.b_o
-        zx_c = x @ cell.w_c.T + cell.b_c
-        h = np.zeros(h_dim)
-        c = np.zeros(h_dim)
+            a = A[t]
+            a += cell.u @ h
+            h = np.tanh(a, out=a)
+        cache["H"] = A
+    elif cell.kind == "lstm":
+        H, C, TC = (np.zeros((T, n)) for _ in range(3))
+        c = np.zeros(n)
         for t in range(T):
-            i = expit(zx_i[t] + cell.u_i @ h)
-            f = expit(zx_f[t] + cell.u_f @ h)
-            o = expit(zx_o[t] + cell.u_o @ h)
-            g = np.tanh(zx_c[t] + cell.u_c @ h)
+            a = A[t]
+            a += cell.u @ h
+            expit(a[:3 * n], out=a[:3 * n])
+            np.tanh(a[3 * n:], out=a[3 * n:])
+            i, f, o, g = a[:n], a[n:2 * n], a[2 * n:3 * n], a[3 * n:]
             c = f * c + i * g
             tc = np.tanh(c)
             h = o * tc
-            I[t], F[t], O[t], G[t], C[t], TC[t], H[t] = i, f, o, g, c, tc, h
-        cache.update(I=I, F=F, O=O, G=G, C=C, TC=TC)
-    elif isinstance(cell, GRUParams):
-        Z, R, HT = (np.zeros((T, h_dim)) for _ in range(3))
-        RH = np.zeros((T, h_dim))  # r * h_prev, reused by the backward pass
-        zx_z = x @ cell.w_z.T + cell.b_z
-        zx_r = x @ cell.w_r.T + cell.b_r
-        zx_h = x @ cell.w_h.T + cell.b_h
-        h = np.zeros(h_dim)
-        for t in range(T):
-            z = expit(zx_z[t] + cell.u_z @ h)
-            r = expit(zx_r[t] + cell.u_r @ h)
-            rh = r * h
-            ht = np.tanh(zx_h[t] + cell.u_h @ rh)
-            h = (1.0 - z) * h + z * ht
-            Z[t], R[t], HT[t], RH[t], H[t] = z, r, ht, rh, h
-        cache.update(Z=Z, R=R, HT=HT, RH=RH)
+            C[t], TC[t], H[t] = c, tc, h
+        cache.update(H=H, C=C, TC=TC)
     else:
-        raise TypeError(f"unknown cell type {type(cell)}")
+        H = np.zeros((T, n))
+        RH = np.zeros((T, n))  # r * h_prev, reused by the backward pass
+        u_zr, u_h = cell.u[:2 * n], cell.u[2 * n:]
+        for t in range(T):
+            a = A[t]
+            zr, ht = a[:2 * n], a[2 * n:]
+            zr += u_zr @ h
+            expit(zr, out=zr)
+            rh = zr[n:] * h
+            ht += u_h @ rh
+            np.tanh(ht, out=ht)
+            h = (1.0 - zr[:n]) * h + zr[:n] * ht
+            RH[t], H[t] = rh, h
+        cache.update(H=H, RH=RH)
     return cache
 
 
@@ -472,73 +426,56 @@ def _dense_backward(model: ModelParams, dY: np.ndarray, caches, masks, grads):
 
 
 def _cell_backward(cell: CellParams, cache: dict, dH: np.ndarray, grads):
-    x = cache["x"]
-    H = cache["H"]
-    T, h_dim = H.shape
-    H_prev = np.vstack([np.zeros((1, h_dim)), H[:-1]])
-    if isinstance(cell, SimpleRNNParams):
-        dZ = np.zeros((T, h_dim))
-        dh_next = np.zeros(h_dim)
+    x, A, H = cache["x"], cache["A"], cache["H"]
+    T, n = H.shape
+    H_prev = np.vstack([np.zeros((1, n)), H[:-1]])
+    dZ = np.zeros_like(A)  # gradient w.r.t. the gate pre-activations
+    dh_next = np.zeros(n)
+    if cell.kind == "simplernn":
         for t in range(T - 1, -1, -1):
             dh = dH[t] + dh_next
             dz = dh * (1.0 - H[t] * H[t])
             dh_next = cell.u.T @ dz
             dZ[t] = dz
-        grads["cell.w"] += dZ.T @ x
-        grads["cell.u"] += dZ.T @ H_prev
-        grads["cell.b"] += dZ.sum(axis=0)
-        return
-    if isinstance(cell, LSTMParams):
-        I, F, O, G, C, TC = (cache[k] for k in ("I", "F", "O", "G", "C", "TC"))
-        C_prev = np.vstack([np.zeros((1, h_dim)), C[:-1]])
-        dZi, dZf, dZo, dZg = (np.zeros((T, h_dim)) for _ in range(4))
-        dh_next = np.zeros(h_dim)
-        dc_next = np.zeros(h_dim)
+    elif cell.kind == "lstm":
+        I, F, O, G = (A[:, k * n:(k + 1) * n] for k in range(4))
+        dZi, dZf, dZo, dZg = (dZ[:, k * n:(k + 1) * n] for k in range(4))
+        C, TC = cache["C"], cache["TC"]
+        C_prev = np.vstack([np.zeros((1, n)), C[:-1]])
+        dc_next = np.zeros(n)
         for t in range(T - 1, -1, -1):
             dh = dH[t] + dh_next
             do = dh * TC[t]
-            dzo = do * O[t] * (1.0 - O[t])
+            dZo[t] = do * O[t] * (1.0 - O[t])
             dc = dh * O[t] * (1.0 - TC[t] * TC[t]) + dc_next
             df = dc * C_prev[t]
-            dzf = df * F[t] * (1.0 - F[t])
+            dZf[t] = df * F[t] * (1.0 - F[t])
             di = dc * G[t]
-            dzi = di * I[t] * (1.0 - I[t])
+            dZi[t] = di * I[t] * (1.0 - I[t])
             dg = dc * I[t]
-            dzg = dg * (1.0 - G[t] * G[t])
+            dZg[t] = dg * (1.0 - G[t] * G[t])
             dc_next = dc * F[t]
-            dh_next = (cell.u_i.T @ dzi + cell.u_f.T @ dzf
-                       + cell.u_o.T @ dzo + cell.u_c.T @ dzg)
-            dZi[t], dZf[t], dZo[t], dZg[t] = dzi, dzf, dzo, dzg
-        for g, dZ in zip(_LSTM_GATES, (dZi, dZf, dZo, dZg)):
-            grads[f"cell.w_{g}"] += dZ.T @ x
-            grads[f"cell.u_{g}"] += dZ.T @ H_prev
-            grads[f"cell.b_{g}"] += dZ.sum(axis=0)
-        return
-    if isinstance(cell, GRUParams):
-        Z, R, HT, RH = (cache[k] for k in ("Z", "R", "HT", "RH"))
-        dAz, dAr, dAh = (np.zeros((T, h_dim)) for _ in range(3))
-        dh_next = np.zeros(h_dim)
+            dh_next = cell.u.T @ dZ[t]
+    else:
+        Z, R, HT = (A[:, k * n:(k + 1) * n] for k in range(3))
+        dZz, dZr, dZh = (dZ[:, k * n:(k + 1) * n] for k in range(3))
+        u_zr_T, u_h_T = cell.u[:2 * n].T, cell.u[2 * n:].T
         for t in range(T - 1, -1, -1):
             h_prev = H_prev[t]
             dh = dH[t] + dh_next
-            da_z = dh * (HT[t] - h_prev) * Z[t] * (1.0 - Z[t])
-            da_h = dh * Z[t] * (1.0 - HT[t] * HT[t])
-            s = cell.u_h.T @ da_h
-            da_r = s * h_prev * R[t] * (1.0 - R[t])
-            dh_next = (dh * (1.0 - Z[t]) + cell.u_z.T @ da_z
-                       + cell.u_r.T @ da_r + s * R[t])
-            dAz[t], dAr[t], dAh[t] = da_z, da_r, da_h
-        grads["cell.w_z"] += dAz.T @ x
-        grads["cell.u_z"] += dAz.T @ H_prev
-        grads["cell.b_z"] += dAz.sum(axis=0)
-        grads["cell.w_r"] += dAr.T @ x
-        grads["cell.u_r"] += dAr.T @ H_prev
-        grads["cell.b_r"] += dAr.sum(axis=0)
-        grads["cell.w_h"] += dAh.T @ x
-        grads["cell.u_h"] += dAh.T @ RH
-        grads["cell.b_h"] += dAh.sum(axis=0)
-        return
-    raise TypeError(f"unknown cell type {type(cell)}")
+            dZz[t] = dh * (HT[t] - h_prev) * Z[t] * (1.0 - Z[t])
+            dZh[t] = da_h = dh * Z[t] * (1.0 - HT[t] * HT[t])
+            s = u_h_T @ da_h
+            dZr[t] = s * h_prev * R[t] * (1.0 - R[t])
+            dh_next = dh * (1.0 - Z[t]) + u_zr_T @ dZ[t, :2 * n] + s * R[t]
+    grads["cell.w"] += dZ.T @ x
+    grads["cell.b"] += dZ.sum(axis=0)
+    if cell.kind == "gru":
+        # the candidate gate's recurrent input is r * h_prev, not h_prev
+        grads["cell.u"][:2 * n] += dZ[:, :2 * n].T @ H_prev
+        grads["cell.u"][2 * n:] += dZ[:, 2 * n:].T @ cache["RH"]
+    else:
+        grads["cell.u"] += dZ.T @ H_prev
 
 
 def backward(model: ModelParams, x: np.ndarray, targets: np.ndarray, loss_spec,
@@ -565,8 +502,19 @@ def backward(model: ModelParams, x: np.ndarray, targets: np.ndarray, loss_spec,
 # serialization
 
 
+_RESERVED_KEYS = ("variant", "dropout_p", "seed", "dense", "cell", "params")
+
+
 def save_model(model: ModelParams, extra: dict | None = None) -> str:
-    """JSON checkpoint: variant, dims, flat row-major parameter arrays."""
+    """JSON checkpoint: variant, dims, flat row-major parameter arrays.
+
+    ``extra`` metadata is stored beside them at the top level, so it may not
+    use the checkpoint's own keys.
+    """
+    clash = sorted(set(extra or ()) & set(_RESERVED_KEYS))
+    if clash:
+        raise ValueError(f"extra metadata uses reserved checkpoint keys {clash}")
+    cell = model.cell
     doc = {
         "variant": model.variant,
         "dropout_p": model.dropout_p,
@@ -575,47 +523,58 @@ def save_model(model: ModelParams, extra: dict | None = None) -> str:
             {"out": l.out_dim, "in": l.in_dim, "activation": l.activation}
             for l in model.dense
         ],
-        "cell": None,
+        "cell": None if cell is None else {"kind": cell.kind, "hidden": cell.hidden,
+                                           "in": cell.in_dim},
         "params": {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
                    for name, arr in param_arrays(model)},
+        **(extra or {}),
     }
-    if model.cell is not None:
-        kind = {SimpleRNNParams: "simplernn", LSTMParams: "lstm", GRUParams: "gru"}[
-            type(model.cell)]
-        doc["cell"] = {"kind": kind, "hidden": model.cell.hidden,
-                       "in": model.cell.in_dim}
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=2)
 
 
+def _check_dims(what: str, declared: dict, actual: dict) -> None:
+    if declared != actual:
+        raise ValueError(f"checkpoint declares {what} {declared} but its arrays give {actual}")
+
+
 def load_model(text: str) -> tuple[ModelParams, dict]:
-    """Inverse of :func:`save_model`; returns (model, leftover metadata)."""
+    """Inverse of :func:`save_model`; returns (model, leftover metadata).
+
+    Also reads checkpoints that store each gate as its own arrays
+    (``cell.w_i``, ``cell.u_i``, ``cell.b_i``, ...) by stacking them in
+    ``GATES`` order.
+    """
     doc = json.loads(text)
     params = {name: np.array(p["data"], dtype=np.float64).reshape(p["shape"])
               for name, p in doc["params"].items()}
 
     def take(name):
+        if name not in params:
+            raise ValueError(f"checkpoint lacks parameter array {name!r}")
         return params[name]
 
     cell = None
-    if doc["cell"] is not None:
-        kind = doc["cell"]["kind"]
-        if kind == "simplernn":
-            cell = SimpleRNNParams(take("cell.w"), take("cell.u"), take("cell.b"))
-        elif kind == "lstm":
-            cell = LSTMParams(**{f"{p}_{g}": take(f"cell.{p}_{g}")
-                                 for g in _LSTM_GATES for p in ("w", "u", "b")})
-        elif kind == "gru":
-            cell = GRUParams(**{f"{p}_{g}": take(f"cell.{p}_{g}")
-                                for g in _GRU_GATES for p in ("w", "u", "b")})
-        else:
+    cell_spec = doc["cell"]
+    if cell_spec is not None:
+        kind = cell_spec["kind"]
+        if kind not in GATES:
             raise ValueError(f"unknown cell kind {kind!r}")
-    dense = [DenseParams(take(f"dense{i}.weights"), take(f"dense{i}.bias"),
-                         spec["activation"])
-             for i, spec in enumerate(doc["dense"])]
+        if "cell.w" in params:
+            w, u, b = (take(f"cell.{p}") for p in "wub")
+        else:
+            w, u, b = (np.concatenate([take(f"cell.{p}_{g}") for g in GATES[kind]])
+                       for p in "wub")
+        cell = CellParams(kind, w, u, b)
+        _check_dims("cell", {"hidden": cell_spec["hidden"], "in": cell_spec["in"]},
+                    {"hidden": cell.hidden, "in": cell.in_dim})
+    dense = []
+    for i, spec in enumerate(doc["dense"]):
+        layer = DenseParams(take(f"dense{i}.weights"), take(f"dense{i}.bias"),
+                            spec["activation"])
+        _check_dims(f"dense{i}", {"out": spec["out"], "in": spec["in"]},
+                    {"out": layer.out_dim, "in": layer.in_dim})
+        dense.append(layer)
     model = ModelParams(doc["variant"], cell, dense, dropout_p=doc["dropout_p"],
                         seed=doc.get("seed"))
-    known = {"variant", "dropout_p", "seed", "dense", "cell", "params"}
-    meta = {k: v for k, v in doc.items() if k not in known}
+    meta = {k: v for k, v in doc.items() if k not in _RESERVED_KEYS}
     return model, meta

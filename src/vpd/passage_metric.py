@@ -187,21 +187,6 @@ def summarize_components(components: Iterable[MatchComponent],
     return PQReport(r=r, sum_err=sum_err, counts=counts, accuracy=accuracy)
 
 
-def combine_reports(reports: Sequence[PQReport]) -> PQReport:
-    """Corpus aggregation: sum R and costs over files; frame counts unknown,
-    so accuracy is combined only when every report carries one (unweighted mean
-    is not meaningful here, callers weight by frames; see harness)."""
-    counts = {k: 0 for k in KINDS}
-    r = 0
-    sum_err = 0
-    for rep in reports:
-        r += rep.r
-        sum_err += rep.sum_err
-        for k in KINDS:
-            counts[k] += rep.counts.get(k, 0)
-    return PQReport(r=r, sum_err=sum_err, counts=counts)
-
-
 def pq_from_totals(r: float, sum_err: float) -> float:
     """PQ formula on (possibly fractional, e.g. run-averaged) totals."""
     total = r + sum_err

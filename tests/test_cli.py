@@ -85,6 +85,23 @@ class TestEvaluate:
                      "--threshold", "0.5", "--morph", "none"]) == 0
         json.loads(capsys.readouterr().out)
 
+    def test_identity_morph_equals_none(self, workspace, capsys):
+        reports = []
+        for morph in ("none", "1,1,open-then-close"):
+            assert main(["evaluate", "--model", str(workspace["checkpoint"]),
+                         "--data", str(workspace["data"]), "--morph", morph]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("morph", ["3", "a,b", "0,3", "3,3,sideways"])
+    def test_bad_morph_is_a_usage_error(self, workspace, morph, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--model", str(workspace["checkpoint"]),
+                  "--data", str(workspace["data"]), "--morph", morph])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --morph" in err
+
     def test_missing_data_dir(self, workspace, tmp_path):
         with pytest.raises(SystemExit):
             main(["evaluate", "--model", str(workspace["checkpoint"]),

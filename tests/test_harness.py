@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vpd import nets
+from vpd import harness, nets
 from vpd.event_log import FrameSeries, densify
 from vpd.features import FeatureSpec, window_expand
 from vpd.harness import (HarnessConfig, ModelSetting, channel_subsets,
@@ -13,7 +13,7 @@ from vpd.harness import (HarnessConfig, ModelSetting, channel_subsets,
 from vpd.morphology import MorphFilterSpec
 from vpd.passage_metric import extract_intervals, match_passages, summarize_components
 from vpd.synth import generate_corpus, noiseless_preset, paper_like_preset
-from vpd.training import LossSpec, TrainConfig
+from vpd.training import DivergenceError, LossSpec, TrainConfig
 
 
 def load_series(config):
@@ -166,6 +166,31 @@ class TestModelComparison:
         for row in payload:
             assert set(row) >= {"model", "channels", "mean_pq", "std_pq",
                                 "agg_r", "agg_sum_err", "plan_hash"}
+
+
+class TestDivergence:
+    def test_partial_run_gets_no_pq(self, monkeypatch):
+        # the second repeat diverges after the first one has been scored
+        calls = []
+        real_train = harness.train
+
+        def train_then_diverge(model, dataset, config):
+            calls.append(config.seed)
+            if len(calls) == 2:
+                raise DivergenceError(3, float("nan"))
+            return real_train(model, dataset, config)
+
+        monkeypatch.setattr(harness, "train", train_then_diverge)
+        corpus = load_series(noiseless_preset(n_files=4, seed=7))
+        config = HarnessConfig(train=TrainConfig(epochs=1, threshold_grid=0.1),
+                               test_fraction=0.25, repeats=2)
+        [res] = run_model_comparison(corpus, config, [ModelSetting("lr", window=1)])
+        assert len(calls) == 2 and "epoch 3" in res.error
+        assert len(res.fold_reports) == 1
+        assert np.isnan(res.mean_pq) and np.isnan(res.std_pq)
+        assert format_results_table([res]).splitlines()[2].split()[-2:] == ["-", "-"]
+        row = json.loads(results_to_json([res]))[0]
+        assert row["mean_pq"] is None and row["std_pq"] is None
 
 
 class TestAblation:

@@ -1,10 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from vpd import nets
-from vpd.nets import (GRUParams, LSTMParams, ModelParams, SimpleRNNParams,
-                      cell_step, forward, predict_binary)
+from vpd.nets import GATES, CellParams, cell_step, forward, predict_binary
 from vpd.training import LossSpec
 
 
@@ -22,6 +24,12 @@ def fd_gradient(model, x, targets, spec, eps=1e-5):
         nets.set_flat(model, flat)
         out[i] = (lp - lm) / (2 * eps)
     return out
+
+
+def stacked_cell(kind, kw):
+    """CellParams from per-gate arrays ``w_<g>``, ``u_<g>``, ``b_<g>``."""
+    return CellParams(kind, *(np.concatenate([kw[f"{p}_{g}"] for g in GATES[kind]])
+                              for p in "wub"))
 
 
 def perturbed(model, rng, scale=0.4):
@@ -44,7 +52,7 @@ ALL_BUILDERS = {
 
 class TestCellStep:
     def test_simplernn_zero_everything(self):
-        cell = SimpleRNNParams(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
+        cell = CellParams("simplernn", np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
         h, state = cell_step(cell, np.array([1.0, -2.0, 3.0]), cell.zero_state())
         assert np.array_equal(h, np.zeros(2))
 
@@ -54,7 +62,7 @@ class TestCellStep:
               for g in "ifoc" for p in ("w", "u")}
         kw |= {f"b_{g}": np.zeros(h_dim) for g in "ifoc"}
         kw["b_f"] = np.full(h_dim, 50.0)
-        cell = LSTMParams(**kw)
+        cell = stacked_cell("lstm", kw)
         c = np.array([0.7, -1.3])
         state = (np.zeros(h_dim), c.copy())
         rng = np.random.default_rng(0)
@@ -67,7 +75,7 @@ class TestCellStep:
         kw = {f"{p}_{g}": rng.normal(size=(2, 3) if p == "w" else (2, 2))
               for g in "ifoc" for p in ("w", "u")}
         kw |= {f"b_{g}": rng.normal(size=2) for g in "ifoc"}
-        cell = LSTMParams(**kw)
+        cell = stacked_cell("lstm", kw)
         x = rng.normal(size=3)
         h0 = rng.normal(size=2)
         c0 = rng.normal(size=2)
@@ -85,7 +93,7 @@ class TestCellStep:
         kw = {f"{p}_{g}": rng.normal(size=(2, 3) if p == "w" else (2, 2))
               for g in "zrh" for p in ("w", "u")}
         kw |= {f"b_{g}": rng.normal(size=2) for g in "zrh"}
-        cell = GRUParams(**kw)
+        cell = stacked_cell("gru", kw)
         x = rng.normal(size=3)
         h0 = rng.normal(size=2)
         h, _ = cell_step(cell, x, h0)
@@ -94,8 +102,19 @@ class TestCellStep:
         ht = np.tanh(kw["w_h"] @ x + kw["u_h"] @ (r * h0) + kw["b_h"])
         assert np.allclose(h, (1 - z) * h0 + z * ht)
 
+    @pytest.mark.parametrize("kind,w,u,b", [
+        ("lstm", (8, 3), (8, 2), (6,)),
+        ("gru", (6, 3), (8, 2), (8,)),
+        ("gru", (6, 3), (6, 3), (6,)),
+        ("simplernn", (2,), (2, 2), (2,)),
+        ("peephole", (2, 3), (2, 2), (2,)),
+    ])
+    def test_inconsistent_cell_rejected(self, kind, w, u, b):
+        with pytest.raises(ValueError):
+            CellParams(kind, np.zeros(w), np.zeros(u), np.zeros(b))
+
     def test_dimension_mismatch(self):
-        cell = SimpleRNNParams(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
+        cell = CellParams("simplernn", np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             cell_step(cell, np.zeros(4), cell.zero_state())
 
@@ -271,3 +290,55 @@ class TestSerialization:
         assert np.array_equal(nets.get_flat(loaded), nets.get_flat(model))
         x = np.random.default_rng(0).random((6, 3))
         assert np.array_equal(forward(loaded, x), forward(model, x))
+
+    @pytest.mark.parametrize("key", ["variant", "dropout_p", "seed", "dense", "cell", "params"])
+    def test_reserved_extra_key_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            nets.save_model(nets.init_lr(3), extra={key: 1})
+
+    @pytest.mark.parametrize("name,drop", [("lstm", "cell.u"), ("final", "dense1.bias"),
+                                           ("lr", "dense0.weights")])
+    def test_missing_array_named(self, name, drop):
+        doc = json.loads(nets.save_model(ALL_BUILDERS[name](0)))
+        del doc["params"][drop]
+        with pytest.raises(ValueError, match=drop):
+            nets.load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,key,value", [
+        ("cell", "hidden", 5), ("cell", "in", 2), ("dense", "in", 3), ("dense", "out", 2),
+    ])
+    def test_declared_dims_must_match_arrays(self, field, key, value):
+        doc = json.loads(nets.save_model(ALL_BUILDERS["final"](0)))
+        (doc[field] if field == "cell" else doc[field][0])[key] = value
+        with pytest.raises(ValueError, match="declares"):
+            nets.load_model(json.dumps(doc))
+
+
+LEGACY = Path(__file__).parent / "data"
+
+
+class TestLegacyCheckpoint:
+    """Checkpoints that store each gate as its own ``cell.<w|u|b>_<gate>`` arrays."""
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_loads_bit_identical(self, kind):
+        model, meta = nets.load_model((LEGACY / f"legacy_{kind}.json").read_text())
+        assert model.cell.kind == kind and model.cell.hidden == 2
+        y = forward(model, np.array(meta["input"]))
+        assert np.array_equal(y, np.array(meta["expected"]))
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_resave_writes_stacked_names(self, kind):
+        model, meta = nets.load_model((LEGACY / f"legacy_{kind}.json").read_text())
+        doc = json.loads(nets.save_model(model, extra=meta))
+        assert [n for n in doc["params"] if n.startswith("cell.")] == \
+            ["cell.w", "cell.u", "cell.b"]
+        reloaded, _ = nets.load_model(json.dumps(doc))
+        x = np.array(meta["input"])
+        assert np.array_equal(forward(reloaded, x), np.array(meta["expected"]))
+
+    def test_missing_gate_array_named(self):
+        doc = json.loads((LEGACY / "legacy_lstm.json").read_text())
+        del doc["params"]["cell.u_f"]
+        with pytest.raises(ValueError, match="cell.u_f"):
+            nets.load_model(json.dumps(doc))
