@@ -6,14 +6,14 @@ from .features import FeatureSpec, subset_series, window_expand
 from .harness import (ExperimentResult, HarnessConfig, evaluate_model,
                       run_ablation, run_model_comparison)
 from .morphology import MorphFilterSpec, closing, dilate, erode, opening
-from .nets import (ModelParams, backward, cell_step, forward, init_final,
+from .nets import (ModelParams, backward, cell_step, decide, forward, init_final,
                    init_gru, init_lr, init_lstm, init_mlp, init_simplernn,
                    load_model, predict_binary, save_model)
 from .passage_metric import (Interval, MatchComponent, PQReport,
                              extract_intervals, match_passages,
-                             pass_quality, pointwise_accuracy)
+                             pass_quality, pointwise_accuracy, score_signals)
 from .synth import SynthConfig, corpus_stats, generate_corpus, generate_dataset
-from .training import (LossSpec, SplitPlan, TrainConfig, loss, make_splits,
+from .training import (LossSpec, SplitPlan, TrainConfig, make_splits,
                        select_threshold, train, train_test_split)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from .event_log import densify, parse_log, write_log
 from .features import FeatureSpec
 from .harness import HarnessConfig, ModelSetting
 from .morphology import MorphFilterSpec
-from .passage_metric import extract_intervals, match_passages, summarize_components
+from .passage_metric import extract_intervals, pass_quality
 from .training import TrainConfig, select_threshold, sequences_from_series, train
 
 
@@ -30,13 +30,14 @@ def _load_config(path: str | None) -> dict:
 def load_corpus(data_dir: str) -> dict:
     """Directory of *.csv logs -> {file id: dense FrameSeries}."""
     corpus = {}
-    paths = sorted(Path(data_dir).glob("*.csv"))
-    if not paths:
-        raise SystemExit(f"no *.csv log files in {data_dir}")
-    for path in paths:
+    for path in sorted(Path(data_dir).glob("*.csv")):
         log = parse_log(path.read_text(), source_id=path.stem)
         if log.records:
             corpus[path.stem] = densify(log)
+        else:
+            print(f"skipping {path.name}: no records", file=sys.stderr)
+    if not corpus:
+        raise SystemExit(f"no *.csv log files with records in {data_dir}")
     return corpus
 
 
@@ -110,6 +111,17 @@ def _morph_arg(text: str) -> MorphFilterSpec | None:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
+def _threshold_arg(text: str) -> float:
+    """``--threshold`` value: a float strictly between 0 and 1."""
+    try:
+        value = float(text)
+        if not 0.0 < value < 1.0:
+            raise ValueError("threshold must be in (0, 1)")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return value
+
+
 def cmd_evaluate(args) -> int:
     model, meta = nets.load_model(Path(args.model).read_text())
     feature_spec = FeatureSpec.from_dict(meta["features"])
@@ -160,7 +172,7 @@ def cmd_score(args) -> int:
                                 pred_series.first_frame)
     ref_iv = extract_intervals(ref_series.channel(args.ref_channel),
                                ref_series.first_frame)
-    report = summarize_components(match_passages(ref_iv, pred_iv))
+    report = pass_quality(ref_iv, pred_iv)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -190,7 +202,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("evaluate", help="score a trained model on a log directory")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_threshold_arg,
+                   help="output threshold in (0, 1) (default: the checkpoint's)")
     p.add_argument("--morph", type=_morph_arg, default=argparse.SUPPRESS,
                    help="open_width,close_width[,order] or 'none' "
                         "(default: the checkpoint's filter)")

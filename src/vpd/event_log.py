@@ -7,6 +7,7 @@ per-frame view, ``sparsify`` is its minimal inverse on the input channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -196,17 +197,12 @@ def densify(log: EventLog) -> FrameSeries:
     """Dense per-frame view from first to last recorded frame, zero-order hold."""
     if not log.records:
         raise EmptyLogError(f"cannot densify empty log {log.source_id!r}")
-    first = log.records[0].frame_no
-    n = log.records[-1].frame_no - first + 1
-    out = {name: np.zeros(n, dtype=np.uint8) for name in CHANNELS}
-    frames = np.array([r.frame_no for r in log.records]) - first
-    for name in CHANNELS:
-        vals = np.array([getattr(r, name) for r in log.records], dtype=np.uint8)
-        # hold each value until the next record
-        bounds = np.append(frames, n)
-        for (a, b), v in zip(zip(bounds[:-1], bounds[1:]), vals):
-            out[name][a:b] = v
-    return FrameSeries(first, out)
+    table = np.array(list(map(attrgetter("frame_no", *CHANNELS), log.records)), dtype=np.int64)
+    frames = table[:, 0]
+    # hold each record's values until the next record; the last holds one frame
+    spans = np.diff(frames, append=frames[-1] + 1)
+    return FrameSeries(int(frames[0]), {name: np.repeat(table[:, j].astype(np.uint8), spans)
+                                        for j, name in enumerate(CHANNELS, start=1)})
 
 
 def sparsify(series: FrameSeries, source_id: str = "") -> EventLog:

@@ -18,8 +18,7 @@ from . import nets
 from .event_log import INPUT_CHANNELS, FrameSeries
 from .features import FeatureSpec, window_expand
 from .morphology import MorphFilterSpec
-from .passage_metric import (PQReport, extract_intervals, match_passages,
-                             summarize_components)
+from .passage_metric import PQReport, score_signals
 from .training import (DivergenceError, SplitPlan, TrainConfig, make_splits,
                        select_threshold, sequences_from_series, train,
                        train_test_split)
@@ -150,12 +149,13 @@ class ExperimentResult:
         return float(np.std(pqs)) if pqs else float("nan")
 
     @property
-    def agg_r(self) -> int:
-        return sum(r.r for r in self.fold_reports)
+    def agg_r(self) -> int | None:
+        """Summed R over folds; None when the run failed (``error`` set)."""
+        return None if self.error else sum(r.r for r in self.fold_reports)
 
     @property
-    def agg_sum_err(self) -> int:
-        return sum(r.sum_err for r in self.fold_reports)
+    def agg_sum_err(self) -> int | None:
+        return None if self.error else sum(r.sum_err for r in self.fold_reports)
 
     def to_dict(self) -> dict:
         return {
@@ -178,34 +178,16 @@ def evaluate_model(model: nets.ModelParams, threshold: float,
                    series_list: list[FrameSeries], feature_spec: FeatureSpec,
                    post_filter: MorphFilterSpec | None = None) -> PQReport:
     """Corpus-aggregated PQ of thresholded (optionally filtered) predictions."""
-    components = []
-    agree = 0
-    total = 0
-    for series in series_list:
-        probs = nets.forward(model, window_expand(series, feature_spec))
-        pred = (probs >= threshold).astype(np.uint8)
-        if post_filter is not None:
-            pred = post_filter(pred)
-        ref = series.channel("ref_pass")
-        components.extend(match_passages(extract_intervals(ref), extract_intervals(pred)))
-        agree += int(np.sum(ref == pred))
-        total += len(series)
-    return summarize_components(components, accuracy=agree / total if total else None)
+    return score_signals(
+        (s.channel("ref_pass"),
+         nets.decide(nets.forward(model, window_expand(s, feature_spec)), threshold, post_filter))
+        for s in series_list)
 
 
 def score_prediction_channel(series_list: list[FrameSeries],
                              channel: str = "basic_clf") -> PQReport:
     """Score an already-binarized channel (e.g. the rule-based classifier)."""
-    components = []
-    agree = 0
-    total = 0
-    for series in series_list:
-        pred = series.channel(channel)
-        ref = series.channel("ref_pass")
-        components.extend(match_passages(extract_intervals(ref), extract_intervals(pred)))
-        agree += int(np.sum(ref == pred))
-        total += len(series)
-    return summarize_components(components, accuracy=agree / total if total else None)
+    return score_signals((s.channel("ref_pass"), s.channel(channel)) for s in series_list)
 
 
 def _make_plan(corpus: dict[str, FrameSeries], config: HarnessConfig) -> SplitPlan:
@@ -308,8 +290,8 @@ def format_results_table(results: list[ExperimentResult]) -> str:
         rows.append((
             res.model_tag,
             "(" + ",".join(res.channels) + ")" + (f" w={res.window}" if res.window else ""),
-            str(res.agg_r),
-            str(res.agg_sum_err),
+            "-" if res.error else str(res.agg_r),
+            "-" if res.error else str(res.agg_sum_err),
             "-" if np.isnan(res.mean_pq) else f"{res.mean_pq:.3f}",
             "-" if np.isnan(res.std_pq) else f"{res.std_pq:.3f}",
         ))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .event_log import FrameSeries
+from .passage_metric import runs
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def _check_signal(signal) -> np.ndarray:
     arr = np.asarray(signal, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("signal must be one-dimensional")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    if arr.size and arr.max() > 1:
         raise ValueError("signal must be binary")
     return arr
 
@@ -77,22 +78,15 @@ def dilate(signal, k: int) -> np.ndarray:
     return windows.max(axis=1)
 
 
-def _runs(arr: np.ndarray) -> list[tuple[int, int]]:
-    padded = np.concatenate([[0], arr, [0]]).astype(np.int8)
-    diff = np.diff(padded)
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1)
-    return list(zip(starts, ends))  # half-open [start, end)
-
-
 def opening(signal, k: int) -> np.ndarray:
     """Remove maximal 1-runs shorter than k; runs of length >= k are kept."""
     arr = _check_signal(signal)
     k = _check_width(k)
     out = np.zeros_like(arr)
-    for a, b in _runs(arr):
-        if b - a >= k:
-            out[a:b] = 1
+    starts, ends = runs(arr)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if b - a + 1 >= k:
+            out[a:b + 1] = 1
     return out
 
 
@@ -101,10 +95,10 @@ def closing(signal, k: int) -> np.ndarray:
     arr = _check_signal(signal)
     k = _check_width(k)
     out = arr.copy()
-    runs = _runs(arr)
-    for (_, end_prev), (start_next, _) in zip(runs, runs[1:]):
-        if start_next - end_prev < k:
-            out[end_prev:start_next] = 1
+    starts, ends = runs(arr)
+    for end_prev, start_next in zip(ends[:-1].tolist(), starts[1:].tolist()):
+        if start_next - end_prev - 1 < k:
+            out[end_prev + 1:start_next] = 1
     return out
 
 

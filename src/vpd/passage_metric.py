@@ -30,9 +30,6 @@ class Interval:
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} > end {self.end}")
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start <= other.end and other.start <= self.end
-
     def __len__(self) -> int:
         return self.end - self.start + 1
 
@@ -97,10 +94,6 @@ class PQReport:
         total = self.r + self.sum_err
         return self.r / total if total > 0 else 1.0
 
-    @property
-    def pqe(self) -> float:
-        return 1.0 - self.pq
-
     def to_dict(self) -> dict:
         return {
             "r": self.r,
@@ -111,16 +104,20 @@ class PQReport:
         }
 
 
+def runs(signal: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and inclusive end indices of the maximal runs of 1s in a binary signal."""
+    padded = np.zeros(len(signal) + 2, dtype=np.int8)
+    padded[1:-1] = signal
+    # changes alternate: a run starts at an even one and ends before the next
+    edges = (padded[1:] != padded[:-1]).nonzero()[0]
+    return edges[::2], edges[1::2] - 1
+
+
 def extract_intervals(signal: Sequence[int] | np.ndarray, first_frame: int = 0) -> list[Interval]:
     """Maximal runs of 1s as closed intervals in absolute frame numbers."""
-    arr = np.asarray(signal, dtype=np.uint8)
-    if arr.size == 0:
-        return []
-    padded = np.concatenate([[0], arr, [0]])
-    diff = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1) - 1
-    return [Interval(int(first_frame + a), int(first_frame + b)) for a, b in zip(starts, ends)]
+    starts, ends = runs(signal)
+    return [Interval(a, b) for a, b in zip((starts + first_frame).tolist(),
+                                           (ends + first_frame).tolist())]
 
 
 def _check_sorted_disjoint(intervals: Sequence[Interval], label: str) -> None:
@@ -185,6 +182,27 @@ def summarize_components(components: Iterable[MatchComponent],
             r += 1
         sum_err += cost
     return PQReport(r=r, sum_err=sum_err, counts=counts, accuracy=accuracy)
+
+
+def score_signals(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> PQReport:
+    """Corpus PQ of per-file (reference, prediction) binary signal pairs.
+
+    Passages are matched within each file; R, costs and kind counts are summed
+    over files, and ``accuracy`` is the share of agreeing frames over all files
+    (None when there are no frames).  Both signals of a pair must have one length.
+    """
+    components: list[MatchComponent] = []
+    agree = 0
+    total = 0
+    for ref, pred in pairs:
+        ref = np.asarray(ref)
+        pred = np.asarray(pred)
+        if ref.shape != pred.shape:
+            raise ValueError(f"length mismatch: ref {ref.shape} vs pred {pred.shape}")
+        components.extend(match_passages(extract_intervals(ref), extract_intervals(pred)))
+        agree += np.count_nonzero(ref == pred)
+        total += ref.size
+    return summarize_components(components, accuracy=agree / total if total else None)
 
 
 def pq_from_totals(r: float, sum_err: float) -> float:

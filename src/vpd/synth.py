@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .event_log import INPUT_CHANNELS, EventLog, FrameSeries, densify, sparsify
-from .passage_metric import Interval, extract_intervals
+from .passage_metric import Interval, runs
 
 
 @dataclass(frozen=True)
@@ -230,10 +230,10 @@ def corpus_stats(logs: list[EventLog]) -> dict:
             continue
         series = densify(log)
         stats["frames"] += len(series)
-        stats["ref_passages"] += len(extract_intervals(series.channel("ref_pass")))
         for name, info in stats["channels"].items():
-            for iv in extract_intervals(series.channel(name)):
-                info["runs"] += 1
-                length = len(iv)
+            starts, ends = runs(series.channel(name))
+            info["runs"] += len(starts)
+            for length in (ends - starts + 1).tolist():
                 info["run_lengths"][length] = info["run_lengths"].get(length, 0) + 1
+    stats["ref_passages"] = stats["channels"]["ref_pass"]["runs"]
     return stats

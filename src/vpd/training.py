@@ -10,7 +10,7 @@ from . import nets
 from .event_log import FrameSeries
 from .features import FeatureSpec, window_expand
 from .morphology import MorphFilterSpec
-from .passage_metric import PQReport, extract_intervals, match_passages, summarize_components
+from .passage_metric import score_signals
 
 
 class DivergenceError(RuntimeError):
@@ -43,11 +43,6 @@ class LossSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
         return cls(**d)
-
-
-def loss(outputs, targets, spec: LossSpec) -> float:
-    """See :func:`vpd.nets.loss_value`; exposed here next to the training loop."""
-    return nets.loss_value(outputs, targets, spec)
 
 
 @dataclass(frozen=True)
@@ -230,17 +225,6 @@ def sequences_from_series(series_list: list[FrameSeries],
             for s in series_list]
 
 
-def _corpus_pq_at(prob_ref_pairs, threshold: float,
-                  post_filter: MorphFilterSpec | None) -> PQReport:
-    components = []
-    for probs, ref in prob_ref_pairs:
-        pred = (probs >= threshold).astype(np.uint8)
-        if post_filter is not None:
-            pred = post_filter(pred)
-        components.extend(match_passages(extract_intervals(ref), extract_intervals(pred)))
-    return summarize_components(components)
-
-
 def select_threshold(model: nets.ModelParams,
                      series_list: list[FrameSeries],
                      feature_spec: FeatureSpec,
@@ -250,13 +234,14 @@ def select_threshold(model: nets.ModelParams,
     maximizer (ties go to the smallest threshold), with its training PQ."""
     if not 0.0 < grid_step < 1.0:
         raise ValueError("grid_step must be in (0, 1)")
-    pairs = [(nets.forward(model, window_expand(s, feature_spec)),
-              s.channel("ref_pass")) for s in series_list]
+    pairs = [(s.channel("ref_pass"), nets.forward(model, window_expand(s, feature_spec)))
+             for s in series_list]
     n = int(np.ceil(1.0 / grid_step))
     grid = [i * grid_step for i in range(1, n) if i * grid_step < 1.0]
     best_t, best_pq = None, -1.0
     for t in grid:
-        pq = _corpus_pq_at(pairs, t, post_filter).pq
+        pq = score_signals((ref, nets.decide(probs, t, post_filter))
+                           for ref, probs in pairs).pq
         if pq > best_pq:
             best_t, best_pq = t, pq
     return float(best_t), float(best_pq)

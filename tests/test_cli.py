@@ -102,6 +102,38 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "argument --morph" in err
 
+    @pytest.mark.parametrize("threshold", ["1.5", "-3", "0", "1", "nan", "high"])
+    def test_threshold_outside_unit_interval_is_a_usage_error(self, workspace, threshold,
+                                                              capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--model", str(workspace["checkpoint"]),
+                  "--data", str(workspace["data"]), "--threshold", threshold])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "argument --threshold" in err
+
+    def test_empty_logs_are_named_and_skipped(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        first = sorted(workspace["data"].glob("*.csv"))[0]
+        (data / first.name).write_text(first.read_text())
+        (data / "blank.csv").write_text("frame,shield,loop,cor,basic,ref\n")
+        assert main(["evaluate", "--model", str(workspace["checkpoint"]),
+                     "--data", str(data)]) == 0
+        captured = capsys.readouterr()
+        assert "blank.csv" in captured.err and first.name not in captured.err
+        json.loads(captured.out)
+
+    def test_only_empty_logs_is_an_error(self, workspace, tmp_path, capsys):
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("frame,shield,loop,cor,basic,ref\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--model", str(workspace["checkpoint"]),
+                  "--data", str(tmp_path)])
+        assert "no *.csv log files with records" in str(exc.value.code)
+        err = capsys.readouterr().err
+        assert "a.csv" in err and "b.csv" in err
+
     def test_missing_data_dir(self, workspace, tmp_path):
         with pytest.raises(SystemExit):
             main(["evaluate", "--model", str(workspace["checkpoint"]),

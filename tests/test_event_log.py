@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_event_log
 from vpd.event_log import (CHANNELS, EmptyLogError, EventLog, EventRecord,
@@ -7,6 +8,19 @@ from vpd.event_log import (CHANNELS, EmptyLogError, EventLog, EventRecord,
                            parse_log, sparsify, write_log)
 
 HEADER = "frame,shield,loop,cor,basic,ref"
+
+
+def zero_order_hold(log):
+    """Each frame from the first record to the last takes the values of the
+    latest record at or before it, scanned one frame at a time."""
+    out = {name: [] for name in CHANNELS}
+    i = 0
+    for frame in range(log.records[0].frame_no, log.records[-1].frame_no + 1):
+        while i + 1 < len(log.records) and log.records[i + 1].frame_no <= frame:
+            i += 1
+        for name in CHANNELS:
+            out[name].append(getattr(log.records[i], name))
+    return out
 
 
 class TestParse:
@@ -85,6 +99,22 @@ class TestDensify:
     def test_empty_log(self):
         with pytest.raises(EmptyLogError):
             densify(EventLog((), source_id="empty"))
+
+    @settings(deadline=None)
+    @given(st.integers(0, 1000),
+           st.lists(st.tuples(st.integers(1, 30), *[st.integers(0, 1)] * len(CHANNELS)),
+                    min_size=1, max_size=25))
+    def test_matches_frame_by_frame_hold(self, first, rows):
+        records, frame = [], first
+        for gap, *values in rows:
+            records.append(EventRecord(frame, *values))
+            frame += gap
+        log = EventLog(tuple(records))
+        series = densify(log)
+        expect = zero_order_hold(log)
+        assert series.first_frame == first
+        for name in CHANNELS:
+            assert series.channel(name).tolist() == expect[name]
 
 
 class TestRoundTrips:

@@ -69,6 +69,13 @@ class TestEvaluateModel:
         expect = summarize_components(components)
         assert (rep.r, rep.sum_err, rep.counts) == (expect.r, expect.sum_err, expect.counts)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -3.0, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        series = [make_series(np.zeros(10), shield=np.zeros(10),
+                              loop=np.zeros(10), cor=np.zeros(10))]
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
+            evaluate_model(self.constant_model(), threshold, series, FeatureSpec())
+
     def test_morph_filter_changes_flickery_prediction(self):
         # a model reproducing a flickering input channel is cleaned up by closing
         n = 60
@@ -188,9 +195,11 @@ class TestDivergence:
         assert len(calls) == 2 and "epoch 3" in res.error
         assert len(res.fold_reports) == 1
         assert np.isnan(res.mean_pq) and np.isnan(res.std_pq)
-        assert format_results_table([res]).splitlines()[2].split()[-2:] == ["-", "-"]
+        assert res.agg_r is None and res.agg_sum_err is None
+        assert format_results_table([res]).splitlines()[2].split()[-4:] == ["-"] * 4
         row = json.loads(results_to_json([res]))[0]
         assert row["mean_pq"] is None and row["std_pq"] is None
+        assert row["agg_r"] is None and row["agg_sum_err"] is None
 
 
 class TestAblation:

@@ -207,6 +207,18 @@ class TestPredictBinary:
         assert np.array_equal(predict_binary(model, x, 0.4), expect)
 
 
+class TestDecide:
+    def test_threshold_then_filter(self):
+        probs = np.array([0.9, 0.2, 0.9, 0.5, 0.1])
+        assert nets.decide(probs, 0.5).tolist() == [1, 0, 1, 1, 0]
+        assert nets.decide(probs, 0.5, post_filter=lambda p: 1 - p).tolist() == [0, 1, 0, 0, 1]
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -3.0, float("nan")])
+    def test_rejects_out_of_range_threshold(self, threshold):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
+            nets.decide(np.zeros(3), threshold)
+
+
 class TestBackward:
     def test_hand_derived_length_one(self):
         # zero params, one frame, target 0: y = 0.5, d loss/d bias = 2*0.5*0.25

@@ -1,11 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_intervals
 from vpd.event_log import densify
-from vpd.passage_metric import (Interval, classify_component, extract_intervals,
+from vpd.passage_metric import (KINDS, Interval, classify_component, extract_intervals,
                                 match_passages, pass_quality, pointwise_accuracy,
-                                pq_from_totals, summarize_components)
+                                pq_from_totals, runs, score_signals,
+                                summarize_components)
+
+
+def bits(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.uint8))
+
+
+#: one corpus: per-file (reference, prediction) pairs of equal length
+corpora = st.lists(st.integers(0, 60).flatmap(lambda n: st.tuples(bits(n), bits(n))),
+                   max_size=5)
+
+
+def frame_scan_runs(signal):
+    """(start, end) of each 1-run, by walking the frames one at a time."""
+    out, start = [], None
+    for i, v in enumerate(list(signal) + [0]):
+        if v and start is None:
+            start = i
+        elif not v and start is not None:
+            out.append((start, i - 1))
+            start = None
+    return out
 
 
 def brute_force_components(ref, det):
@@ -59,6 +83,18 @@ class TestExtractIntervals:
 
     def test_empty_signal(self):
         assert extract_intervals([]) == []
+
+
+class TestRuns:
+    @given(st.integers(0, 80).flatmap(bits))
+    def test_equals_frame_scan(self, signal):
+        starts, ends = runs(signal)
+        assert list(zip(starts.tolist(), ends.tolist())) == frame_scan_runs(signal.tolist())
+
+    def test_list_and_bool_input(self):
+        for signal in ([1, 1, 0, 1], [True, True, False, True]):
+            starts, ends = runs(signal)
+            assert (starts.tolist(), ends.tolist()) == ([0, 3], [1, 3])
 
 
 class TestCosts:
@@ -166,6 +202,39 @@ class TestPassQuality:
         for det in ([Interval(0, 3)], [Interval(5, 30)], [Interval(9, 9)]):
             rep = pass_quality([Interval(3, 9)], det)
             assert (rep.r, rep.sum_err) == (1, 0)
+
+
+class TestScoreSignals:
+    @settings(deadline=None)
+    @given(corpora)
+    def test_equals_per_file_match_and_brute_force(self, pairs):
+        report = score_signals(pairs)
+        components = []
+        counts = {k: 0 for k in KINDS}
+        r = sum_err = agree = total = 0
+        for ref, pred in pairs:
+            ref_iv, pred_iv = extract_intervals(ref), extract_intervals(pred)
+            components.extend(match_passages(ref_iv, pred_iv))
+            for rs, ds in brute_force_components(ref_iv, pred_iv):
+                kind, cost = classify_component(len(rs), len(ds))
+                counts[kind] += 1
+                r += kind == "correct"
+                sum_err += cost
+            agree += sum(a == b for a, b in zip(ref.tolist(), pred.tolist()))
+            total += len(ref)
+        accuracy = agree / total if total else None
+        assert report == summarize_components(components, accuracy=accuracy)
+        assert (report.r, report.sum_err, report.counts) == (r, sum_err, counts)
+
+    def test_empty_corpus(self):
+        report = score_signals([])
+        assert (report.r, report.sum_err, report.pq, report.accuracy) == (0, 0, 1.0, None)
+
+    def test_rejects_length_mismatch(self):
+        ok = (np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+        bad = (np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ValueError, match="length mismatch"):
+            score_signals([ok, bad])
 
 
 class TestPointwiseAccuracy:

@@ -5,9 +5,9 @@ from vpd import nets
 from vpd.event_log import FrameSeries
 from vpd.features import FeatureSpec
 from vpd.morphology import MorphFilterSpec
-from vpd.training import (DivergenceError, LossSpec, TrainConfig, loss,
-                          make_splits, select_threshold, sequences_from_series,
-                          train, train_test_split)
+from vpd.training import (DivergenceError, LossSpec, TrainConfig, make_splits,
+                          select_threshold, sequences_from_series, train,
+                          train_test_split)
 
 
 def make_series(ref, **channels):
@@ -19,12 +19,12 @@ def make_series(ref, **channels):
 class TestLoss:
     def test_zero_on_perfect_output(self):
         t = np.array([0.0, 1.0, 1.0, 0.0])
-        assert loss(t, t, LossSpec()) == 0.0
+        assert nets.loss_value(t, t, LossSpec()) == 0.0
 
     def test_constant_half_closed_form(self):
         y = np.full(8, 0.5)
         r = np.zeros(8)
-        assert loss(y, r, LossSpec()) == pytest.approx(0.25)
+        assert nets.loss_value(y, r, LossSpec()) == pytest.approx(0.25)
 
     def test_transcription_oracle(self):
         rng = np.random.default_rng(3)
@@ -38,17 +38,17 @@ class TestLoss:
             w = np.where(r == 1, spec.positive_weight, spec.negative_weight)
             expect = np.sum(w * (y - r) ** 2) / np.sum(w)
             expect += spec.derivative_lambda * np.sum((y[1:] - y[:-1]) ** 2)
-            assert loss(y, r, spec) == pytest.approx(expect, abs=1e-12)
+            assert nets.loss_value(y, r, spec) == pytest.approx(expect, abs=1e-12)
 
     def test_unit_weights_zero_lambda_is_mse(self):
         rng = np.random.default_rng(4)
         y = rng.random(20)
         r = rng.integers(0, 2, 20).astype(float)
-        assert loss(y, r, LossSpec()) == pytest.approx(float(np.mean((y - r) ** 2)))
+        assert nets.loss_value(y, r, LossSpec()) == pytest.approx(float(np.mean((y - r) ** 2)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            loss(np.zeros(3), np.zeros(4), LossSpec())
+            nets.loss_value(np.zeros(3), np.zeros(4), LossSpec())
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
