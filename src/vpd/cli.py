@@ -4,27 +4,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import harness, nets, synth
 from .event_log import densify, parse_log, write_log
 from .features import FeatureSpec
-from .harness import HarnessConfig, ModelSetting
+from .harness import HarnessConfig
 from .morphology import MorphFilterSpec
 from .passage_metric import extract_intervals, pass_quality
-from .training import TrainConfig, select_threshold, sequences_from_series, train
+from .training import select_threshold, sequences_from_series, train
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, cls, default):
+    """``cls`` read from a JSON (or ``.toml``) file of its fields; ``default``
+    without a file or for an empty table.  A file that cannot be read, parsed or
+    turned into a valid ``cls`` exits with one line naming it and the problem."""
     if path is None:
-        return {}
+        return default
     p = Path(path)
-    if p.suffix == ".toml":
-        import tomllib
-        return tomllib.loads(p.read_text())
-    return json.loads(p.read_text())
+    try:
+        if p.suffix == ".toml":
+            import tomllib
+            raw = tomllib.loads(p.read_text())
+        else:
+            raw = json.loads(p.read_text())
+        return cls.from_dict(raw) if raw != {} else default
+    except (OSError, ValueError, TypeError) as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def load_corpus(data_dir: str) -> dict:
@@ -42,17 +49,13 @@ def load_corpus(data_dir: str) -> dict:
 
 
 def cmd_generate(args) -> int:
-    raw = _load_config(args.config)
-    if raw:
-        config = synth.SynthConfig.from_dict(raw)
-    else:
-        config = synth.paper_like_preset()
+    config = _load_config(args.config, synth.SynthConfig, synth.paper_like_preset())
     if args.preset == "noiseless":
-        config = synth.SynthConfig.from_dict({**config.to_dict(), "noise": {}})
+        config = replace(config, noise={})
     if args.n_files:
-        config = synth.SynthConfig.from_dict({**config.to_dict(), "n_files": args.n_files})
+        config = replace(config, n_files=args.n_files)
     if args.seed is not None:
-        config = synth.SynthConfig.from_dict({**config.to_dict(), "seed": args.seed})
+        config = replace(config, seed=args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -67,15 +70,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = _load_config(args.config)
-    hconfig = HarnessConfig.from_dict(raw) if raw else HarnessConfig()
+    hconfig = _load_config(args.config, HarnessConfig, HarnessConfig())
     corpus = load_corpus(args.data)
-    feature_spec = FeatureSpec(channels=tuple(hconfig.channels),
-                               window=args.window if args.model in ("lr", "mlp") else 0)
-    setting = ModelSetting(args.model, window=feature_spec.window,
-                           hidden=hconfig.final_hidden, dense_units=hconfig.final_dense,
-                           dropout_p=hconfig.final_dropout,
-                           use_morph=(args.model == "final"))
+    # the family's setting in `vpd compare`, with --window as the lr/mlp history
+    zoo = harness.default_zoo(replace(hconfig, window=args.window))
+    setting = {s.tag: s for s in zoo}[args.model]
+    feature_spec = FeatureSpec(channels=tuple(hconfig.channels), window=setting.window)
     model = setting.build(feature_spec.dim, seed=hconfig.train.seed)
     series = list(corpus.values())
     dataset = sequences_from_series(series, feature_spec)
@@ -88,7 +88,7 @@ def cmd_train(args) -> int:
         "features": feature_spec.to_dict(),
         "threshold": threshold,
         "train_pq": train_pq,
-        "morph": hconfig.to_dict()["morph"] if post else None,
+        "morph": post.to_dict() if post else None,
         "train_config": hconfig.train.to_dict(),
         "final_train_loss": trace[-1],
     }
@@ -126,7 +126,7 @@ def cmd_evaluate(args) -> int:
     model, meta = nets.load_model(Path(args.model).read_text())
     feature_spec = FeatureSpec.from_dict(meta["features"])
     threshold = args.threshold if args.threshold is not None else meta.get("threshold", 0.5)
-    default_morph = MorphFilterSpec(**meta["morph"]) if meta.get("morph") else None
+    default_morph = MorphFilterSpec.from_dict(meta["morph"]) if meta.get("morph") else None
     post = getattr(args, "morph", default_morph)
     corpus = load_corpus(args.data)
     report = harness.evaluate_model(model, threshold, list(corpus.values()),
@@ -135,30 +135,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    raw = _load_config(args.config)
-    hconfig = HarnessConfig.from_dict(raw) if raw else HarnessConfig()
+def cmd_experiment(args) -> int:
+    """``vpd compare`` / ``vpd ablate``: run, then write ``<stem>.json`` and ``<stem>.txt``."""
+    hconfig = _load_config(args.config, HarnessConfig, HarnessConfig())
     corpus = load_corpus(args.data)
-    results = harness.run_ablation(corpus, hconfig)
+    run, stem = ((harness.run_model_comparison, "comparison") if args.command == "compare"
+                 else (harness.run_ablation, "ablation"))
+    results = run(corpus, hconfig)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.json").write_text(harness.results_to_json(results))
+    (out / f"{stem}.json").write_text(harness.results_to_json(results))
     table = harness.format_results_table(results)
-    (out / "ablation.txt").write_text(table + "\n")
-    print(table)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    raw = _load_config(args.config)
-    hconfig = HarnessConfig.from_dict(raw) if raw else HarnessConfig()
-    corpus = load_corpus(args.data)
-    results = harness.run_model_comparison(corpus, hconfig)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "comparison.json").write_text(harness.results_to_json(results))
-    table = harness.format_results_table(results)
-    (out / "comparison.txt").write_text(table + "\n")
+    (out / f"{stem}.txt").write_text(table + "\n")
     print(table)
     return 0
 
@@ -213,13 +201,13 @@ def main(argv=None) -> int:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("compare", help="train and score every model family")
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("score", help="score a prediction channel against a reference")
     p.add_argument("--pred", required=True)

@@ -20,6 +20,9 @@ CHANNELS = ("shield", "loop", "cor", "basic_clf", "ref_pass")
 #: channels the event-driven invariant is checked on
 INPUT_CHANNELS = ("shield", "loop", "cor")
 
+#: frame numbers must be below this, so that ``densify``'s int64 table holds them
+FRAME_LIMIT = 2 ** 63
+
 
 class LogFormatError(ValueError):
     """Malformed log text (bad header, row shape, or non-bit value)."""
@@ -72,18 +75,22 @@ class EventLog:
 
     ``invariant_warnings`` lists indices of records that do not change any of
     the input channels relative to their predecessor.  Such rows are accepted
-    on parse (real logs may re-record on label changes) but flagged.
+    (real logs may re-record on label changes) but flagged.
     """
 
     records: tuple[EventRecord, ...]
     source_id: str = ""
-    invariant_warnings: tuple[int, ...] = field(default=(), compare=False)
+    invariant_warnings: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        frames = [r.frame_no for r in self.records]
-        for a, b in zip(frames, frames[1:]):
-            if b <= a:
-                raise LogOrderError(f"frame_no not strictly increasing: {a} then {b}")
+        warnings = []
+        for i, (prev, rec) in enumerate(zip(self.records, self.records[1:]), start=1):
+            if rec.frame_no <= prev.frame_no:
+                raise LogOrderError(
+                    f"frame_no not strictly increasing: {prev.frame_no} then {rec.frame_no}")
+            if rec.inputs() == prev.inputs():
+                warnings.append(i)
+        object.__setattr__(self, "invariant_warnings", tuple(warnings))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -135,18 +142,12 @@ class FrameSeries:
         return FrameSeries(self.first_frame, chans)
 
 
-def _invariant_warnings(records: Iterable[EventRecord]) -> tuple[int, ...]:
-    warnings = []
-    prev = None
-    for i, rec in enumerate(records):
-        if prev is not None and rec.inputs() == prev.inputs():
-            warnings.append(i)
-        prev = rec
-    return tuple(warnings)
-
-
 def parse_log(text: str | Iterable[str], source_id: str = "") -> EventLog:
-    """Parse CSV log text (header ``frame,shield,loop,cor,basic,ref``)."""
+    """Parse CSV log text (header ``frame,shield,loop,cor,basic,ref``).
+
+    The frame field is ASCII decimal digits below ``FRAME_LIMIT``; the other
+    fields are 0 or 1.  Whitespace around a field is allowed.
+    """
     if isinstance(text, str):
         lines = text.splitlines()
     else:
@@ -164,14 +165,19 @@ def parse_log(text: str | Iterable[str], source_id: str = "") -> EventLog:
         parts = line.split(",")
         if len(parts) != 6:
             raise LogFormatError(f"expected 6 columns, got {len(parts)}", line_no=line_no)
+        frame_text = parts[0].strip()
+        digits = frame_text.lstrip("0") or frame_text[-1:]
+        # the length test keeps int() off inputs longer than its digit limit
+        if not (digits.isascii() and digits.isdigit() and len(digits) <= 19
+                and int(digits) < FRAME_LIMIT):
+            raise LogFormatError(f"frame must be ASCII digits below 2**63, "
+                                 f"got {parts[0][:40]!r}", line_no=line_no)
+        frame = int(digits)
         try:
-            values = [int(p) for p in parts]
+            values = [int(p) for p in parts[1:]]
         except ValueError:
             raise LogFormatError(f"non-integer field in {line!r}", line_no=line_no) from None
-        frame = values[0]
-        if frame < 0:
-            raise LogFormatError(f"negative frame number {frame}", line_no=line_no)
-        for name, v in zip(CHANNELS, values[1:]):
+        for name, v in zip(CHANNELS, values):
             if v not in (0, 1):
                 raise LogFormatError(f"{name} must be 0 or 1, got {v}", line_no=line_no)
         if frame <= last_frame:
@@ -179,10 +185,9 @@ def parse_log(text: str | Iterable[str], source_id: str = "") -> EventLog:
                 f"frame {frame} not greater than previous {last_frame}", line_no=line_no
             )
         last_frame = frame
-        records.append(EventRecord(frame, *values[1:]))
+        records.append(EventRecord(frame, *values))
 
-    return EventLog(tuple(records), source_id=source_id,
-                    invariant_warnings=_invariant_warnings(records))
+    return EventLog(tuple(records), source_id=source_id)
 
 
 def write_log(log: EventLog) -> str:
@@ -214,21 +219,12 @@ def sparsify(series: FrameSeries, source_id: str = "") -> EventLog:
     n = len(series)
     if n == 0:
         raise EmptyLogError("cannot sparsify empty series")
-
-    def chan(name):
-        return series.channels.get(name, np.zeros(n, dtype=np.uint8))
-
-    inputs = np.stack([chan(c) for c in INPUT_CHANNELS])
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
-    change[1:] = np.any(inputs[:, 1:] != inputs[:, :-1], axis=0)
+    zeros = np.zeros(n, dtype=np.uint8)
+    table = np.stack([series.channels.get(c, zeros) for c in CHANNELS], axis=1)
+    inputs = table[:, :len(INPUT_CHANNELS)]  # INPUT_CHANNELS lead CHANNELS
+    change = np.ones(n, dtype=bool)
+    change[1:] = np.any(inputs[1:] != inputs[:-1], axis=1)
     idx = np.flatnonzero(change)
-    records = tuple(
-        EventRecord(
-            int(series.first_frame + i),
-            *(int(chan(c)[i]) for c in CHANNELS),
-        )
-        for i in idx
-    )
-    return EventLog(records, source_id=source_id,
-                    invariant_warnings=_invariant_warnings(records))
+    frames = (idx + series.first_frame).tolist()
+    records = tuple(EventRecord(f, *row) for f, row in zip(frames, table[idx].tolist()))
+    return EventLog(records, source_id=source_id)

@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DictConfig
 from .event_log import FrameSeries
 
 
 @dataclass(frozen=True)
-class FeatureSpec:
+class FeatureSpec(DictConfig):
     """Which input channels to feed the model, with ``window`` past samples."""
 
     channels: tuple[str, ...] = ("shield", "loop", "cor")
@@ -27,13 +28,6 @@ class FeatureSpec:
     @property
     def dim(self) -> int:
         return len(self.channels) * (self.window + 1)
-
-    def to_dict(self) -> dict:
-        return {"channels": list(self.channels), "window": self.window}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(channels=tuple(d["channels"]), window=int(d.get("window", 0)))
 
 
 def window_expand(series: FrameSeries, spec: FeatureSpec) -> np.ndarray:

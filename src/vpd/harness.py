@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nets
+from .config import DictConfig
 from .event_log import INPUT_CHANNELS, FrameSeries
 from .features import FeatureSpec, window_expand
 from .morphology import MorphFilterSpec
@@ -27,7 +28,7 @@ MODEL_TAGS = ("basic", "lr", "mlp", "simplernn", "lstm", "gru", "final")
 
 
 @dataclass(frozen=True)
-class ModelSetting:
+class ModelSetting(DictConfig):
     """Per-family architecture knobs; ``window`` only matters for lr/mlp."""
 
     tag: str
@@ -56,26 +57,9 @@ class ModelSetting:
                                    dropout_p=self.dropout_p, seed=seed)
         raise ValueError(f"unknown model tag {self.tag!r}")
 
-    def to_dict(self) -> dict:
-        return {"tag": self.tag, "window": self.window, "hidden": self.hidden,
-                "dense_units": self.dense_units, "dropout_p": self.dropout_p,
-                "use_morph": self.use_morph}
-
-
-def default_zoo(window: int = 8) -> list[ModelSetting]:
-    return [
-        ModelSetting("basic"),
-        ModelSetting("lr", window=window),
-        ModelSetting("mlp", window=window),
-        ModelSetting("simplernn", hidden=8),
-        ModelSetting("lstm", hidden=8),
-        ModelSetting("gru", hidden=8),
-        ModelSetting("final", hidden=16, dense_units=8, dropout_p=0.2, use_morph=True),
-    ]
-
 
 @dataclass(frozen=True)
-class HarnessConfig:
+class HarnessConfig(DictConfig):
     train: TrainConfig = field(default_factory=TrainConfig)
     channels: tuple[str, ...] = INPUT_CHANNELS
     window: int = 8
@@ -88,33 +72,21 @@ class HarnessConfig:
     final_dense: int = 8
     final_dropout: float = 0.2
 
-    def to_dict(self) -> dict:
-        return {
-            "train": self.train.to_dict(),
-            "channels": list(self.channels),
-            "window": self.window,
-            "n_folds": self.n_folds,
-            "test_fraction": self.test_fraction,
-            "split_seed": self.split_seed,
-            "repeats": self.repeats,
-            "morph": {"open_width": self.morph.open_width,
-                      "close_width": self.morph.close_width,
-                      "order": self.morph.order},
-            "final_hidden": self.final_hidden,
-            "final_dense": self.final_dense,
-            "final_dropout": self.final_dropout,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "HarnessConfig":
-        d = dict(d)
-        if "train" in d:
-            d["train"] = TrainConfig.from_dict(d["train"])
-        if "channels" in d:
-            d["channels"] = tuple(d["channels"])
-        if "morph" in d and not isinstance(d["morph"], MorphFilterSpec):
-            d["morph"] = MorphFilterSpec(**d["morph"])
-        return cls(**d)
+def default_zoo(config: HarnessConfig | None = None) -> list[ModelSetting]:
+    """One setting per model family, in ``MODEL_TAGS`` order: lr/mlp see
+    ``config.window`` past frames, the final model is built from ``final_*``."""
+    config = config or HarnessConfig()
+    return [
+        ModelSetting("basic"),
+        ModelSetting("lr", window=config.window),
+        ModelSetting("mlp", window=config.window),
+        ModelSetting("simplernn", hidden=8),
+        ModelSetting("lstm", hidden=8),
+        ModelSetting("gru", hidden=8),
+        ModelSetting("final", hidden=config.final_hidden, dense_units=config.final_dense,
+                     dropout_p=config.final_dropout, use_morph=True),
+    ]
 
 
 @dataclass
@@ -222,11 +194,11 @@ def _run_one(corpus, plan, config: HarnessConfig, setting: ModelSetting,
                 reports.append(score_prediction_channel(test_series))
                 thresholds.append(0.5)
                 continue
+            dataset = sequences_from_series(train_series, feature_spec)
             for repeat in range(config.repeats):
                 seed = _model_seed(config.train.seed, setting.tag, fold, repeat)
                 model = setting.build(feature_spec.dim, seed=seed)
-                train_cfg = TrainConfig.from_dict({**config.train.to_dict(), "seed": seed})
-                dataset = sequences_from_series(train_series, feature_spec)
+                train_cfg = replace(config.train, seed=seed)
                 model, _ = train(model, dataset, train_cfg)
                 threshold, _ = select_threshold(model, train_series, feature_spec,
                                                 grid_step=train_cfg.threshold_grid,
@@ -247,7 +219,7 @@ def run_model_comparison(corpus: dict[str, FrameSeries],
                          models: list[ModelSetting] | None = None) -> list[ExperimentResult]:
     """Train and score each model family under one shared split plan."""
     config = config or HarnessConfig()
-    models = models if models is not None else default_zoo(window=config.window)
+    models = models if models is not None else default_zoo(config)
     plan = _make_plan(corpus, config)
     return [_run_one(corpus, plan, config, setting, tuple(config.channels))
             for setting in models]
@@ -271,9 +243,7 @@ def run_ablation(corpus: dict[str, FrameSeries],
     if missing:
         raise ValueError(f"corpus lacks channels {missing} in some files")
     plan = _make_plan(corpus, config)
-    setting = ModelSetting("final", hidden=config.final_hidden,
-                           dense_units=config.final_dense,
-                           dropout_p=config.final_dropout, use_morph=True)
+    setting = {s.tag: s for s in default_zoo(config)}["final"]
     return [_run_one(corpus, plan, config, setting, subset)
             for subset in channel_subsets()]
 

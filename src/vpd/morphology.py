@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DictConfig
 from .event_log import FrameSeries
 from .passage_metric import runs
 
 
 @dataclass(frozen=True)
-class MorphFilterSpec:
+class MorphFilterSpec(DictConfig):
     """Composed open/close filter; width 1 components are identities."""
 
     open_width: int = 3

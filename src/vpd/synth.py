@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DictConfig
 from .event_log import INPUT_CHANNELS, EventLog, FrameSeries, densify, sparsify
 from .passage_metric import Interval, runs
 
 
 @dataclass(frozen=True)
-class ChannelNoise:
+class ChannelNoise(DictConfig):
     edge_jitter: int = 0              # max lead/lag of each passage edge, frames
     dropout_prob: float = 0.0         # probability the sensor misses a passage
     flicker_prob: float = 0.0         # probability of an off-blip inside a passage
@@ -34,19 +35,6 @@ class ChannelNoise:
             raise ValueError("edge_jitter and false_activation_rate must be >= 0")
         _check_range(self.blip_len, "blip_len")
 
-    def to_dict(self) -> dict:
-        return {"edge_jitter": self.edge_jitter, "dropout_prob": self.dropout_prob,
-                "flicker_prob": self.flicker_prob, "blip_len": list(self.blip_len),
-                "false_activation_rate": self.false_activation_rate,
-                "merge_prob": self.merge_prob}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelNoise":
-        d = dict(d)
-        if "blip_len" in d:
-            d["blip_len"] = tuple(d["blip_len"])
-        return cls(**d)
-
 
 def _check_range(rng_pair, name, minimum=1):
     lo, hi = rng_pair
@@ -56,7 +44,7 @@ def _check_range(rng_pair, name, minimum=1):
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(DictConfig):
     n_files: int = 100
     passages_per_file: tuple[int, int] = (2, 4)
     passage_len: tuple[int, int] = (20, 60)
@@ -79,25 +67,6 @@ class SynthConfig:
         if unknown:
             raise ValueError(f"noise for unknown channels: {sorted(unknown)}")
         object.__setattr__(self, "noise", noise)
-
-    def to_dict(self) -> dict:
-        return {"n_files": self.n_files,
-                "passages_per_file": list(self.passages_per_file),
-                "passage_len": list(self.passage_len),
-                "gap_len": list(self.gap_len),
-                "noise": {k: v.to_dict() for k, v in self.noise.items()},
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        d = dict(d)
-        for key in ("passages_per_file", "passage_len", "gap_len"):
-            if key in d:
-                d[key] = tuple(d[key])
-        if "noise" in d:
-            d["noise"] = {k: (v if isinstance(v, ChannelNoise) else ChannelNoise.from_dict(v))
-                          for k, v in d["noise"].items()}
-        return cls(**d)
 
 
 def noiseless_preset(n_files: int = 30, seed: int = 0) -> SynthConfig:

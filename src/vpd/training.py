@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets
+from .config import DictConfig
 from .event_log import FrameSeries
 from .features import FeatureSpec, window_expand
 from .morphology import MorphFilterSpec
@@ -22,7 +23,7 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LossSpec:
+class LossSpec(DictConfig):
     """Class-weighted MSE with an optional output-derivative penalty."""
 
     positive_weight: float = 1.0
@@ -35,18 +36,9 @@ class LossSpec:
         if self.derivative_lambda < 0:
             raise ValueError("derivative_lambda must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {"positive_weight": self.positive_weight,
-                "negative_weight": self.negative_weight,
-                "derivative_lambda": self.derivative_lambda}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(DictConfig):
     epochs: int = 40
     learning_rate: float = 1e-2
     optimizer: str = "adam"
@@ -68,20 +60,6 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("epochs", "learning_rate", "optimizer", "beta1", "beta2", "eps",
-              "seed", "threshold_grid", "shuffle_files", "clip_norm")}
-        d["loss"] = self.loss.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "loss" in d:
-            d["loss"] = LossSpec.from_dict(d["loss"])
-        return cls(**d)
 
 
 class _Adam:

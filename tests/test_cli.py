@@ -70,6 +70,54 @@ class TestTrain:
         meta = json.loads(out.read_text())
         assert meta["features"]["window"] == 2
 
+    def test_final_uses_final_settings(self, workspace):
+        meta = json.loads(workspace["checkpoint"].read_text())
+        assert meta["cell"]["hidden"] == 6 and meta["dense"][0]["out"] == 4
+
+    def test_lstm_is_the_compare_lstm(self, workspace, tmp_path):
+        # final_hidden (6 in this config) sizes only the final model
+        out = tmp_path / "lstm.json"
+        assert main(["train", "--config", str(workspace["config"]),
+                     "--data", str(workspace["data"]), "--model", "lstm",
+                     "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())
+        assert meta["cell"]["hidden"] == 8 and meta["features"]["window"] == 0
+        assert meta["morph"] is None
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("command, text, problem", [
+        ("compare", '{"epochs": 3}', "epochs"),
+        ("ablate", '{"epochs": 3}', "epochs"),
+        ("train", '{"train": {"epoch": 3}}', "epoch"),
+        ("generate", '{"n_file": 3}', "n_file"),
+        ("train", '{"train": {"epochs": 0}}', "epochs must be >= 1"),
+        ("compare", '{"train": 5}', "TrainConfig"),
+        ("generate", '{"passage_len": [10, 5]}', "passage_len"),
+        ("compare", '{"window": 4', "Expecting"),
+        ("generate", '[1, 2]', "mapping"),
+    ])
+    def test_exits_with_one_line(self, workspace, tmp_path, command, text, problem):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command != "generate":
+            argv += ["--data", str(workspace["data"])]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith(f"{config}: ") and problem in message
+        assert "\n" not in message and not out.exists()
+
+    def test_bad_toml(self, workspace, tmp_path):
+        config = tmp_path / "bad.toml"
+        config.write_text("window = ")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", str(config), "--data", str(workspace["data"]),
+                  "--out", str(tmp_path / "out")])
+        assert str(exc.value.code).startswith(f"{config}: ")
+
 
 class TestEvaluate:
     def test_report_json(self, workspace, capsys):

@@ -62,6 +62,38 @@ class TestParse:
         log = parse_log(f"{HEADER}\n10,1,0,0,0,0\n12,1,0,0,0,1\n")
         assert log.invariant_warnings == (1,)
 
+    def test_invariant_warning_on_built_log(self):
+        log = EventLog((EventRecord(0, 1, 0, 0, 0, 0), EventRecord(5, 1, 0, 0, 0, 1),
+                        EventRecord(7, 0, 0, 0, 0, 1)))
+        assert log.invariant_warnings == (1,)
+        assert parse_log(write_log(log)).invariant_warnings == (1,)
+
+    @pytest.mark.parametrize("frame", ["1_0", "+5", "-3", "1e3", "", "0x1f", "\u0661",
+                                       "1" * 25, str(2 ** 63),
+                                       pytest.param("1" * 5000, id="5000-digits")])
+    def test_bad_frame_field(self, frame):
+        with pytest.raises(LogFormatError) as exc:
+            parse_log(f"{HEADER}\n1,0,0,0,0,0\n{frame},1,0,0,0,0\n")
+        assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("frame, value", [(" 12 ", 12), ("007", 7), ("0" * 30, 0),
+                                              (str(2 ** 63 - 1), 2 ** 63 - 1)])
+    def test_frame_field_accepted(self, frame, value):
+        assert parse_log(f"{HEADER}\n{frame},1,0,0,0,0\n").records[0].frame_no == value
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.one_of(
+        st.text(max_size=30),
+        st.lists(st.one_of(st.sampled_from(["0", "1", " 1", "2", "-1", "1_0", "", "x"]),
+                           st.integers(0, 2 ** 64).map(str), st.text(max_size=4)),
+                 min_size=5, max_size=7).map(",".join)), max_size=8))
+    def test_fuzz_rows_raise_or_round_trip(self, rows):
+        try:
+            log = parse_log(HEADER + "\n" + "\n".join(rows))
+        except LogFormatError:
+            return
+        assert parse_log(write_log(log)) == log
+
 
 class TestRecordValidation:
     def test_rejects_non_bit(self):
@@ -130,6 +162,13 @@ class TestRoundTrips:
 
     def test_sparsify_densify_inverse(self, sample_log):
         assert sparsify(densify(sample_log), source_id="sample") == sample_log
+
+    def test_sparsify_writes_absent_channels_as_zero(self):
+        inputs = {"shield": [1, 1, 0, 0], "loop": [0, 1, 1, 1], "cor": [0, 0, 0, 1]}
+        series = FrameSeries(4, {k: np.array(v, dtype=np.uint8) for k, v in inputs.items()})
+        log = sparsify(series)
+        assert log.records == tuple(EventRecord(4 + i, s, lo, c, 0, 0) for i, (s, lo, c)
+                                    in enumerate(zip(*inputs.values())))
 
     def test_constant_series_one_record(self):
         series = FrameSeries(0, {name: np.ones(100, dtype=np.uint8) for name in CHANNELS})

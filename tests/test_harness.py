@@ -149,6 +149,10 @@ class TestModelComparison:
         assert [r.model_tag for r in results] == list(
             s.tag for s in default_zoo())
 
+    def test_final_row_uses_final_settings(self, results):
+        final = results[-1].config["model"]
+        assert (final["tag"], final["hidden"], final["dense_units"]) == ("final", 6, 4)
+
     def test_shared_split_plan(self, results):
         assert len({r.plan_hash for r in results}) == 1
 
@@ -230,6 +234,15 @@ class TestConfig:
                             n_folds=4, repeats=2,
                             morph=MorphFilterSpec(3, 5, "open-then-close"))
         assert HarnessConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_zoo_follows_config(self):
+        zoo = {s.tag: s for s in default_zoo(HarnessConfig(window=3, final_hidden=5,
+                                                            final_dense=2,
+                                                            final_dropout=0.1))}
+        assert zoo["lr"].window == zoo["mlp"].window == 3
+        assert zoo["final"] == ModelSetting("final", hidden=5, dense_units=2,
+                                            dropout_p=0.1, use_morph=True)
+        assert zoo["lstm"].hidden == 8 and not zoo["lstm"].use_morph
 
     def test_model_setting_build_dims(self):
         for setting in default_zoo():
