@@ -75,7 +75,7 @@ def cmd_train(args) -> int:
     # the family's setting in `vpd compare`, with --window as the lr/mlp history
     zoo = harness.default_zoo(replace(hconfig, window=args.window))
     setting = {s.tag: s for s in zoo}[args.model]
-    feature_spec = FeatureSpec(channels=tuple(hconfig.channels), window=setting.window)
+    feature_spec = FeatureSpec(channels=hconfig.channels, window=setting.window)
     model = setting.build(feature_spec.dim, seed=hconfig.train.seed)
     series = list(corpus.values())
     dataset = sequences_from_series(series, feature_spec)

@@ -72,6 +72,22 @@ class HarnessConfig(DictConfig):
     final_dense: int = 8
     final_dropout: float = 0.2
 
+    def __post_init__(self):
+        if not isinstance(self.channels, tuple):
+            raise TypeError(f"channels must be a list of channel names, got {self.channels!r}")
+        if (not self.channels or len(set(self.channels)) != len(self.channels)
+                or not set(self.channels) <= set(INPUT_CHANNELS)):
+            raise ValueError(f"channels must be distinct names from {INPUT_CHANNELS}, "
+                             f"at least one, got {self.channels}")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
+        if self.n_folds is not None and self.n_folds < 2:
+            raise ValueError(f"n_folds must be >= 2 or null, got {self.n_folds}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+
 
 def default_zoo(config: HarnessConfig | None = None) -> list[ModelSetting]:
     """One setting per model family, in ``MODEL_TAGS`` order: lr/mlp see
@@ -150,6 +166,7 @@ def evaluate_model(model: nets.ModelParams, threshold: float,
                    series_list: list[FrameSeries], feature_spec: FeatureSpec,
                    post_filter: MorphFilterSpec | None = None) -> PQReport:
     """Corpus-aggregated PQ of thresholded (optionally filtered) predictions."""
+    nets.check_threshold(threshold)  # before any forward pass
     return score_signals(
         (s.channel("ref_pass"),
          nets.decide(nets.forward(model, window_expand(s, feature_spec)), threshold, post_filter))
@@ -221,7 +238,7 @@ def run_model_comparison(corpus: dict[str, FrameSeries],
     config = config or HarnessConfig()
     models = models if models is not None else default_zoo(config)
     plan = _make_plan(corpus, config)
-    return [_run_one(corpus, plan, config, setting, tuple(config.channels))
+    return [_run_one(corpus, plan, config, setting, config.channels)
             for setting in models]
 
 

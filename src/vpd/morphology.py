@@ -6,7 +6,9 @@ their run-length semantics (remove positive runs shorter than k; fill interior
 zero gaps shorter than k), which is what the erode/dilate compositions give on
 an unbounded domain with a properly reflected element; composing the padded
 windowed operations directly would distort runs at sequence boundaries and,
-for even k, shift them, so the run form is used.
+for even k, shift them, so the run form is used.  They work on the 1-runs as
+(row, start, end) arrays; one signal is row 0, and ``MorphFilterSpec.on_runs``
+filters the runs of many rows (e.g. one per threshold) at once.
 """
 from __future__ import annotations
 
@@ -34,9 +36,20 @@ class MorphFilterSpec(DictConfig):
             raise ValueError(f"unknown order {self.order!r}")
 
     def __call__(self, signal: np.ndarray) -> np.ndarray:
+        arr = _check_signal(signal)
+        _, starts, ends = self.on_runs(*_row_runs(arr))
+        return _paint(starts, ends, arr.size)
+
+    def on_runs(self, rows: np.ndarray, starts: np.ndarray,
+                ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The filter on the 1-runs of many signals at once, given as
+        ``(rows, starts, ends)`` in (row, start) order, as ``passage_metric.runs``
+        gives them for a 2-D signal; returns the filtered runs in the same form."""
         if self.order == "close-then-open":
-            return opening(closing(signal, self.close_width), self.open_width)
-        return closing(opening(signal, self.open_width), self.close_width)
+            return _open_runs(*_close_runs(rows, starts, ends, self.close_width),
+                              self.open_width)
+        return _close_runs(*_open_runs(rows, starts, ends, self.open_width),
+                           self.close_width)
 
 
 def _check_signal(signal) -> np.ndarray:
@@ -79,28 +92,49 @@ def dilate(signal, k: int) -> np.ndarray:
     return windows.max(axis=1)
 
 
+def _row_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of one signal as row 0 of the run form."""
+    starts, ends = runs(arr)
+    return np.zeros(len(starts), dtype=starts.dtype), starts, ends
+
+
+def _open_runs(rows, starts, ends, k: int):
+    """Drop the runs shorter than k."""
+    keep = ends - starts + 1 >= k
+    return rows[keep], starts[keep], ends[keep]
+
+
+def _close_runs(rows, starts, ends, k: int):
+    """Merge each run into the one before it in its row when the 0-gap
+    between them is shorter than k."""
+    # apart[i]: runs i-1 and i stay apart, so run i starts a merged run and
+    # run i-1 ends one (the first run starts one, the last ends one)
+    apart = np.ones(len(starts) + 1, dtype=bool)
+    apart[1:-1] = (rows[1:] != rows[:-1]) | (starts[1:] - ends[:-1] - 1 >= k)
+    return rows[apart[:-1]], starts[apart[:-1]], ends[apart[1:]]
+
+
+def _paint(starts: np.ndarray, ends: np.ndarray, length: int) -> np.ndarray:
+    """Binary signal of ``length`` frames that is 1 exactly on the given runs,
+    which are sorted and separated by at least one 0."""
+    steps = np.zeros(length + 1, dtype=np.int8)
+    steps[starts] = 1
+    steps[ends + 1] = -1
+    return np.cumsum(steps[:-1], dtype=np.int8).astype(np.uint8)
+
+
 def opening(signal, k: int) -> np.ndarray:
     """Remove maximal 1-runs shorter than k; runs of length >= k are kept."""
     arr = _check_signal(signal)
-    k = _check_width(k)
-    out = np.zeros_like(arr)
-    starts, ends = runs(arr)
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        if b - a + 1 >= k:
-            out[a:b + 1] = 1
-    return out
+    _, starts, ends = _open_runs(*_row_runs(arr), _check_width(k))
+    return _paint(starts, ends, arr.size)
 
 
 def closing(signal, k: int) -> np.ndarray:
     """Fill interior 0-gaps shorter than k; boundary gaps are left open."""
     arr = _check_signal(signal)
-    k = _check_width(k)
-    out = arr.copy()
-    starts, ends = runs(arr)
-    for end_prev, start_next in zip(ends[:-1].tolist(), starts[1:].tolist()):
-        if start_next - end_prev - 1 < k:
-            out[end_prev + 1:start_next] = 1
-    return out
+    _, starts, ends = _close_runs(*_row_runs(arr), _check_width(k))
+    return _paint(starts, ends, arr.size)
 
 
 def apply_filter(series: FrameSeries, channel: str, spec: MorphFilterSpec) -> FrameSeries:

@@ -373,11 +373,16 @@ def forward(model: ModelParams, x: np.ndarray, mode: str = "eval", rng=None) -> 
     return _forward_full(model, x, mode, rng)[0]
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a decision threshold outside the open interval (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
 def decide(probs: np.ndarray, threshold: float, post_filter=None) -> np.ndarray:
     """Binary decisions ``probs >= threshold``, then the optional ``post_filter``
     (any binary-signal map, e.g. a ``MorphFilterSpec``)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    check_threshold(threshold)
     pred = (np.asarray(probs) >= threshold).astype(np.uint8)
     return pred if post_filter is None else post_filter(pred)
 

@@ -104,13 +104,25 @@ class PQReport:
         }
 
 
-def runs(signal: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and inclusive end indices of the maximal runs of 1s in a binary signal."""
-    padded = np.zeros(len(signal) + 2, dtype=np.int8)
-    padded[1:-1] = signal
+def runs(signal: Sequence[int] | np.ndarray) -> tuple[np.ndarray, ...]:
+    """Maximal runs of 1s of a binary signal, row by row, in (row, start) order.
+
+    A 1-D signal is one row and gives ``(starts, ends)``; a 2-D (rows, frames)
+    signal gives ``(rows, starts, ends)``.  Ends are inclusive.
+    """
+    arr = np.asarray(signal)
+    n_rows, length = (1, len(arr)) if arr.ndim == 1 else arr.shape
+    # a 0 ahead of the first row and after every row, so no run crosses rows
+    stride = length + 1
+    padded = np.zeros(n_rows * stride + 1, dtype=np.int8)
+    padded[1:].reshape(n_rows, stride)[:, :length] = arr
     # changes alternate: a run starts at an even one and ends before the next
     edges = (padded[1:] != padded[:-1]).nonzero()[0]
-    return edges[::2], edges[1::2] - 1
+    starts, ends = edges[::2], edges[1::2] - 1
+    if arr.ndim == 1:
+        return starts, ends
+    rows = starts // stride
+    return rows, starts - rows * stride, ends - rows * stride
 
 
 def extract_intervals(signal: Sequence[int] | np.ndarray, first_frame: int = 0) -> list[Interval]:
@@ -203,6 +215,47 @@ def score_signals(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> PQReport:
         agree += np.count_nonzero(ref == pred)
         total += ref.size
     return summarize_components(components, accuracy=agree / total if total else None)
+
+
+def component_totals(ref: tuple[np.ndarray, np.ndarray],
+                     det: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row R and total cost of the overlap-graph components between one
+    reference and each row's detections: ``summarize_components(match_passages(
+    ref, det_of_row))`` for every row at once, in array form.
+
+    ``ref`` is ``(starts, ends)`` of the reference intervals, shared by every
+    row; ``det`` is ``(rows, starts, ends)`` of the detections, as :func:`runs`
+    gives them for a 2-D signal.  Intervals are closed and, within one row of
+    one list, sorted and disjoint.  Returns int64 arrays ``(r, sum_err)`` of
+    length ``n_rows``.
+    """
+    ref_starts, ref_ends = (np.asarray(a, dtype=np.int64) for a in ref)
+    det_rows, det_starts, det_ends = (np.asarray(a, dtype=np.int64) for a in det)
+    n_ref = len(ref_starts)
+    rows = np.concatenate([np.repeat(np.arange(n_rows), n_ref), det_rows])
+    starts = np.concatenate([np.tile(ref_starts, n_rows), det_starts])
+    ends = np.concatenate([np.tile(ref_ends, n_rows), det_ends])
+    is_ref = np.arange(len(rows)) < n_rows * n_ref
+    # lay the rows end to end with a gap, so that none overlaps the next
+    lo = starts.min(initial=0)
+    offset = rows * (ends.max(initial=0) - lo + 2) - lo
+    order = np.argsort(starts + offset, kind="stable")
+    starts, ends = (starts + offset)[order], (ends + offset)[order]
+    rows, is_ref = rows[order], is_ref[order]
+    # match_passages' sweep: an interval opens a component iff it starts
+    # after every interval before it has ended
+    opens = np.ones(len(starts), dtype=bool)
+    opens[1:] = starts[1:] > np.maximum.accumulate(ends)[:-1]
+    comp = np.cumsum(opens) - 1
+    n_comp = np.count_nonzero(opens)
+    n_refs = np.bincount(comp[is_ref], minlength=n_comp)
+    n_dets = np.bincount(comp[~is_ref], minlength=n_comp)
+    correct = (n_refs == 1) & (n_dets == 1)
+    cost = np.where(correct, 0, np.maximum(n_refs, n_dets))
+    comp_rows = rows[opens]
+    return (np.bincount(comp_rows[correct], minlength=n_rows),
+            np.bincount(comp_rows, weights=cost, minlength=n_rows).astype(np.int64))
 
 
 def pq_from_totals(r: float, sum_err: float) -> float:

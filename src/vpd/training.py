@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .config import DictConfig
 from .event_log import FrameSeries
 from .features import FeatureSpec, window_expand
 from .morphology import MorphFilterSpec
-from .passage_metric import score_signals
+from .passage_metric import component_totals, pq_from_totals, runs
 
 
 class DivergenceError(RuntimeError):
@@ -203,23 +204,50 @@ def sequences_from_series(series_list: list[FrameSeries],
             for s in series_list]
 
 
+def sweep_thresholds(pairs: Iterable[tuple[np.ndarray, np.ndarray]], grid_step: float,
+                     post_filter: MorphFilterSpec | None = None
+                     ) -> tuple[list[float], list[float]]:
+    """The grid {step, 2*step, ...} below 1 and the corpus PQ at each of its
+    points, for per-file (reference, output probabilities) pairs.
+
+    Each file is decided at every threshold in one ``(thresholds, frames)``
+    comparison, the same ``probs >= threshold`` as ``nets.decide``; its runs
+    are filtered and matched in run form, and R and the costs are summed over
+    files per threshold.
+    """
+    if not 0.0 < grid_step < 1.0:
+        raise ValueError("grid_step must be in (0, 1)")
+    n = int(np.ceil(1.0 / grid_step))
+    grid = [i * grid_step for i in range(1, n) if i * grid_step < 1.0]
+    thresholds = np.array(grid)[:, None]
+    r = np.zeros(len(grid), dtype=np.int64)
+    sum_err = np.zeros(len(grid), dtype=np.int64)
+    for ref, probs in pairs:
+        probs = np.asarray(probs)
+        if probs.shape != np.shape(ref):
+            raise ValueError(f"length mismatch: ref {np.shape(ref)} vs probs {probs.shape}")
+        det = runs(probs >= thresholds)
+        if post_filter is not None:
+            det = post_filter.on_runs(*det)
+        file_r, file_err = component_totals(runs(ref), det, len(grid))
+        r += file_r
+        sum_err += file_err
+    return grid, [pq_from_totals(int(a), int(b)) for a, b in zip(r, sum_err)]
+
+
 def select_threshold(model: nets.ModelParams,
                      series_list: list[FrameSeries],
                      feature_spec: FeatureSpec,
                      grid_step: float = 0.01,
                      post_filter: MorphFilterSpec | None = None) -> tuple[float, float]:
     """Sweep the threshold grid {step, 2*step, ...} and return the corpus-PQ
-    maximizer (ties go to the smallest threshold), with its training PQ."""
-    if not 0.0 < grid_step < 1.0:
-        raise ValueError("grid_step must be in (0, 1)")
-    pairs = [(s.channel("ref_pass"), nets.forward(model, window_expand(s, feature_spec)))
-             for s in series_list]
-    n = int(np.ceil(1.0 / grid_step))
-    grid = [i * grid_step for i in range(1, n) if i * grid_step < 1.0]
-    best_t, best_pq = None, -1.0
-    for t in grid:
-        pq = score_signals((ref, nets.decide(probs, t, post_filter))
-                           for ref, probs in pairs).pq
-        if pq > best_pq:
-            best_t, best_pq = t, pq
-    return float(best_t), float(best_pq)
+    maximizer (ties go to the smallest threshold), with its training PQ.
+    ``post_filter`` is a ``MorphFilterSpec`` or None."""
+    if post_filter is not None and not isinstance(post_filter, MorphFilterSpec):
+        raise TypeError("post_filter must be a MorphFilterSpec or None, "
+                        f"got {type(post_filter).__name__}")
+    grid, curve = sweep_thresholds(
+        ((s.channel("ref_pass"), nets.forward(model, window_expand(s, feature_spec)))
+         for s in series_list), grid_step, post_filter)
+    best = curve.index(max(curve))
+    return grid[best], curve[best]

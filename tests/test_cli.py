@@ -96,6 +96,9 @@ class TestBadConfig:
         ("generate", '{"passage_len": [10, 5]}', "passage_len"),
         ("compare", '{"window": 4', "Expecting"),
         ("generate", '[1, 2]', "mapping"),
+        ("compare", '{"n_folds": 1}', "n_folds"),
+        ("ablate", '{"channels": "cor"}', "channels"),
+        ("train", '{"channels": "cor"}', "channels"),
     ])
     def test_exits_with_one_line(self, workspace, tmp_path, command, text, problem):
         config = tmp_path / "bad.json"

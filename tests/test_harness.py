@@ -76,6 +76,16 @@ class TestEvaluateModel:
         with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
             evaluate_model(self.constant_model(), threshold, series, FeatureSpec())
 
+    def test_bad_threshold_rejected_before_forward(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran before the threshold check")
+
+        monkeypatch.setattr(nets, "forward", no_forward)
+        series = [make_series(np.zeros(10), shield=np.zeros(10),
+                              loop=np.zeros(10), cor=np.zeros(10))]
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\), got 1.5"):
+            evaluate_model(self.constant_model(), 1.5, series, FeatureSpec())
+
     def test_morph_filter_changes_flickery_prediction(self):
         # a model reproducing a flickering input channel is cleaned up by closing
         n = 60
@@ -234,6 +244,26 @@ class TestConfig:
                             n_folds=4, repeats=2,
                             morph=MorphFilterSpec(3, 5, "open-then-close"))
         assert HarnessConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("fields, error, problem", [
+        ({"channels": "cor"}, TypeError, "channels"),
+        ({"channels": ()}, ValueError, "channels"),
+        ({"channels": ("cor", "cor")}, ValueError, "channels"),
+        ({"channels": ("cor", "ref_pass")}, ValueError, "channels"),
+        ({"window": -1}, ValueError, "window"),
+        ({"n_folds": 1}, ValueError, "n_folds"),
+        ({"test_fraction": 0.0}, ValueError, "test_fraction"),
+        ({"test_fraction": 1.0}, ValueError, "test_fraction"),
+        ({"repeats": 0}, ValueError, "repeats"),
+    ])
+    def test_bad_fields_rejected(self, fields, error, problem):
+        with pytest.raises(error, match=problem):
+            HarnessConfig(**fields)
+
+    def test_good_fields_accepted(self):
+        cfg = HarnessConfig(channels=("cor",), window=0, n_folds=2, repeats=1)
+        assert HarnessConfig.from_dict({"channels": ["cor"]}).channels == ("cor",)
+        assert cfg.n_folds == 2
 
     def test_zoo_follows_config(self):
         zoo = {s.tag: s for s in default_zoo(HarnessConfig(window=3, final_hidden=5,

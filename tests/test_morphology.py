@@ -7,10 +7,38 @@ from hypothesis import given, strategies as st
 from vpd.event_log import FrameSeries
 from vpd.morphology import (MorphFilterSpec, apply_filter, closing, dilate,
                             erode, opening)
+from vpd.passage_metric import runs
 
 signals = st.lists(st.integers(0, 1), min_size=0, max_size=40).map(
     lambda bits: np.array(bits, dtype=np.uint8))
 widths = st.integers(1, 5)
+ORDERS = ("close-then-open", "open-then-close")
+
+
+def loop_opening(signal, k):
+    """Opening as a per-run loop over the signal: the oracle for the run form."""
+    out = np.zeros_like(signal)
+    starts, ends = runs(signal)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        if b - a + 1 >= k:
+            out[a:b + 1] = 1
+    return out
+
+
+def loop_closing(signal, k):
+    """Closing as a per-gap loop over the signal: the oracle for the run form."""
+    out = signal.copy()
+    starts, ends = runs(signal)
+    for end_prev, start_next in zip(ends[:-1].tolist(), starts[1:].tolist()):
+        if start_next - end_prev - 1 < k:
+            out[end_prev + 1:start_next] = 1
+    return out
+
+
+def loop_filter(signal, spec):
+    if spec.order == "close-then-open":
+        return loop_opening(loop_closing(signal, spec.close_width), spec.open_width)
+    return loop_closing(loop_opening(signal, spec.open_width), spec.close_width)
 
 
 def all_signals(max_len):
@@ -120,6 +148,29 @@ class TestOpenClose:
                     if a2 - b1 - 1 < k:
                         expect[b1 + 1:a2] = 1
                 assert np.array_equal(closing(s, k), expect)
+
+
+class TestRunForm:
+    @given(st.integers(0, 40).flatmap(lambda n: st.lists(
+               st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=5)),
+           st.integers(1, 6), st.integers(1, 6), st.sampled_from(ORDERS))
+    def test_equals_loop_oracle(self, rows, open_width, close_width, order):
+        spec = MorphFilterSpec(open_width, close_width, order)
+        matrix = np.array(rows, dtype=np.uint8)
+        expect = [loop_filter(row, spec) for row in matrix]
+        for row, want in zip(matrix, expect):
+            assert np.array_equal(spec(row), want)
+            assert np.array_equal(opening(row, open_width), loop_opening(row, open_width))
+            assert np.array_equal(closing(row, close_width), loop_closing(row, close_width))
+        # every row at once, in run form, as the threshold sweep filters
+        got = spec.on_runs(*runs(matrix))
+        want = runs(np.array(expect, dtype=np.uint8).reshape(matrix.shape))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("signal", [[0, 2, 1], [[0, 1], [1, 0]]])
+    def test_filter_rejects_bad_signal(self, signal):
+        with pytest.raises(ValueError, match="signal must be"):
+            MorphFilterSpec()(np.array(signal))
 
 
 class TestApplyFilter:

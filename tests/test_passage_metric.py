@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_intervals
 from vpd.event_log import densify
-from vpd.passage_metric import (KINDS, Interval, classify_component, extract_intervals,
-                                match_passages, pass_quality, pointwise_accuracy,
-                                pq_from_totals, runs, score_signals,
+from vpd.passage_metric import (KINDS, Interval, classify_component, component_totals,
+                                extract_intervals, match_passages, pass_quality,
+                                pointwise_accuracy, pq_from_totals, runs, score_signals,
                                 summarize_components)
 
 
@@ -14,6 +14,18 @@ def bits(n):
     return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
         lambda v: np.array(v, dtype=np.uint8))
 
+
+def intervals_from_steps(steps):
+    """Sorted, disjoint (possibly touching) intervals from (gap, length) steps."""
+    out, pos = [], 0
+    for gap, length in steps:
+        out.append(Interval(pos + gap, pos + gap + length - 1))
+        pos = out[-1].end + 1
+    return out
+
+
+interval_lists = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)),
+                          max_size=8).map(intervals_from_steps)
 
 #: one corpus: per-file (reference, prediction) pairs of equal length
 corpora = st.lists(st.integers(0, 60).flatmap(lambda n: st.tuples(bits(n), bits(n))),
@@ -91,6 +103,15 @@ class TestRuns:
         starts, ends = runs(signal)
         assert list(zip(starts.tolist(), ends.tolist())) == frame_scan_runs(signal.tolist())
 
+    @given(st.integers(0, 30).flatmap(
+        lambda n: st.lists(bits(n), min_size=0, max_size=5)), st.integers(0, 30))
+    def test_rows_are_separate_signals(self, rows, length):
+        matrix = np.array(rows, dtype=np.uint8).reshape(len(rows), -1 if rows else length)
+        got = runs(matrix)
+        want = [(i, a, b) for i, row in enumerate(rows)
+                for a, b in frame_scan_runs(row.tolist())]
+        assert list(zip(*(a.tolist() for a in got))) == want
+
     def test_list_and_bool_input(self):
         for signal in ([1, 1, 0, 1], [True, True, False, True]):
             starts, ends = runs(signal)
@@ -152,6 +173,34 @@ class TestMatch:
             comps = match_passages(ref, det)
             assert sum(c.ref_count for c in comps) == len(ref)
             assert sum(c.det_count for c in comps) == len(det)
+
+
+class TestComponentTotals:
+    @settings(deadline=None)
+    @given(interval_lists, st.lists(interval_lists, max_size=4))
+    def test_equals_match_passages_and_brute_force(self, ref, dets):
+        det_runs = ([row for row, det in enumerate(dets) for _ in det],
+                    [iv.start for det in dets for iv in det],
+                    [iv.end for det in dets for iv in det])
+        r, sum_err = component_totals(([iv.start for iv in ref], [iv.end for iv in ref]),
+                                      det_runs, len(dets))
+        assert r.shape == sum_err.shape == (len(dets),)
+        for row, det in enumerate(dets):
+            report = summarize_components(match_passages(ref, det))
+            shapes = [classify_component(len(rs), len(ds))
+                      for rs, ds in brute_force_components(ref, det)]
+            brute = (sum(kind == "correct" for kind, _ in shapes),
+                     sum(cost for _, cost in shapes))
+            assert (r[row], sum_err[row]) == (report.r, report.sum_err) == brute
+
+    def test_planted_rows(self):
+        ref = ([10, 40], [20, 50])
+        det = ([0, 1, 1, 2], [12, 5, 15, 100], [18, 8, 45, 120])
+        r, sum_err = component_totals(ref, det, 4)
+        # row 0: correct + missed; row 1: false + merged; row 2: false + 2 missed;
+        # row 3: nothing detected, 2 missed
+        assert r.tolist() == [1, 0, 0, 0]
+        assert sum_err.tolist() == [1, 3, 3, 2]
 
 
 class TestPassQuality:

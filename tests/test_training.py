@@ -1,19 +1,62 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpd import nets
 from vpd.event_log import FrameSeries
 from vpd.features import FeatureSpec
 from vpd.morphology import MorphFilterSpec
+from vpd.passage_metric import score_signals
 from vpd.training import (DivergenceError, LossSpec, TrainConfig, make_splits,
-                          select_threshold, sequences_from_series, train,
-                          train_test_split)
+                          select_threshold, sequences_from_series, sweep_thresholds,
+                          train, train_test_split)
 
 
 def make_series(ref, **channels):
     chans = {k: np.array(v, dtype=np.uint8) for k, v in channels.items()}
     chans["ref_pass"] = np.array(ref, dtype=np.uint8)
     return FrameSeries(0, chans)
+
+
+def loop_sweep(pairs, grid_step, post_filter=None):
+    """The sweep one threshold at a time: decide, filter and score every file
+    at each grid point.  The oracle for ``sweep_thresholds``."""
+    n = int(np.ceil(1.0 / grid_step))
+    grid = [i * grid_step for i in range(1, n) if i * grid_step < 1.0]
+    curve = [score_signals((ref, nets.decide(probs, t, post_filter))
+                           for ref, probs in pairs).pq for t in grid]
+    return grid, curve
+
+
+def loop_select(pairs, grid_step, post_filter=None):
+    """First grid point of maximal PQ, and that PQ, from the loop oracle."""
+    best_t, best_pq = None, -1.0
+    for t, pq in zip(*loop_sweep(pairs, grid_step, post_filter)):
+        if pq > best_pq:
+            best_t, best_pq = t, pq
+    return best_t, best_pq
+
+
+def sweep_file(length):
+    """(reference, probabilities) of one file: the reference may be all 0 or
+    all 1, and some probabilities sit on a grid point so that ties happen."""
+    ref = st.one_of(st.just([0] * length), st.just([1] * length),
+                    st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    prob = st.one_of(st.floats(0.0, 1.0),
+                     st.integers(0, 20).map(lambda i: i * 0.05),
+                     st.integers(0, 10).map(lambda i: i * 0.1))
+    return st.tuples(ref.map(lambda v: np.array(v, dtype=np.uint8)),
+                     st.lists(prob, min_size=length, max_size=length).map(np.array))
+
+
+sweep_corpora = st.lists(st.integers(0, 80).flatmap(sweep_file), min_size=1, max_size=4)
+grid_steps = st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.07, 0.3])
+post_filters = st.one_of(st.none(), st.builds(MorphFilterSpec, st.integers(1, 5),
+                                              st.integers(1, 5),
+                                              st.sampled_from(["close-then-open",
+                                                               "open-then-close"])))
 
 
 class TestLoss:
@@ -213,6 +256,29 @@ class TestSelectThreshold:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             select_threshold(nets.init_lr(3), [], FeatureSpec(), 1.5)
+
+    @pytest.mark.parametrize("post_filter", [(3, 3), lambda pred: pred, "close-then-open"])
+    def test_post_filter_must_be_spec_or_none(self, post_filter):
+        with pytest.raises(TypeError, match="MorphFilterSpec"):
+            select_threshold(nets.init_lr(3), [], FeatureSpec(), 0.1,
+                             post_filter=post_filter)
+
+    @settings(deadline=None, max_examples=150)
+    @given(sweep_corpora, grid_steps, post_filters)
+    def test_equals_loop_oracle(self, pairs, grid_step, post_filter):
+        assert sweep_thresholds(pairs, grid_step, post_filter) == \
+            loop_sweep(pairs, grid_step, post_filter)
+        # select_threshold over the files a FrameSeries can hold (one frame or more)
+        files = [(ref, probs) for ref, probs in pairs if ref.size]
+        series = [make_series(ref, shield=ref, loop=ref, cor=ref) for ref, _ in files]
+        with mock.patch.object(nets, "forward", side_effect=[probs for _, probs in files]):
+            chosen = select_threshold(nets.init_lr(3), series, FeatureSpec(), grid_step,
+                                      post_filter=post_filter)
+        assert chosen == loop_select(files, grid_step, post_filter)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            sweep_thresholds([(np.zeros(3), np.zeros(4))], 0.1)
 
 
 class TestConfigSerialization:
