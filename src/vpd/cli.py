@@ -5,10 +5,11 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import harness, nets, synth
-from .event_log import densify, parse_log, write_log
+from .event_log import CHANNELS, densify, parse_log, write_log
 from .features import FeatureSpec
 from .harness import HarnessConfig
 from .morphology import MorphFilterSpec
@@ -16,29 +17,43 @@ from .passage_metric import extract_intervals, pass_quality
 from .training import select_threshold, sequences_from_series, train
 
 
+def _read(path, parse):
+    """``parse`` of the text of the file at ``path``; a file that cannot be read
+    or that ``parse`` rejects exits with one line naming it and the problem."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        problem = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise SystemExit(f"{path}: {problem}") from None
+
+
 def _load_config(path: str | None, cls, default):
     """``cls`` read from a JSON (or ``.toml``) file of its fields; ``default``
-    without a file or for an empty table.  A file that cannot be read, parsed or
-    turned into a valid ``cls`` exits with one line naming it and the problem."""
+    without a file or for an empty table."""
     if path is None:
         return default
-    p = Path(path)
-    try:
-        if p.suffix == ".toml":
+    def parse(text):
+        if Path(path).suffix == ".toml":
             import tomllib
-            raw = tomllib.loads(p.read_text())
+            raw = tomllib.loads(text)
         else:
-            raw = json.loads(p.read_text())
+            raw = json.loads(text)
         return cls.from_dict(raw) if raw != {} else default
-    except (OSError, ValueError, TypeError) as exc:
-        raise SystemExit(f"{path}: {exc}") from None
+    return _read(path, parse)
+
+
+def _load_checkpoint(text: str):
+    """Model, feature spec, threshold and post filter of a ``vpd train`` checkpoint."""
+    model, meta = nets.load_model(text)
+    morph = MorphFilterSpec.from_dict(meta["morph"]) if meta.get("morph") else None
+    return model, FeatureSpec.from_dict(meta["features"]), meta.get("threshold", 0.5), morph
 
 
 def load_corpus(data_dir: str) -> dict:
     """Directory of *.csv logs -> {file id: dense FrameSeries}."""
     corpus = {}
     for path in sorted(Path(data_dir).glob("*.csv")):
-        log = parse_log(path.read_text(), source_id=path.stem)
+        log = _read(path, partial(parse_log, source_id=path.stem))
         if log.records:
             corpus[path.stem] = densify(log)
         else:
@@ -72,9 +87,8 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     hconfig = _load_config(args.config, HarnessConfig, HarnessConfig())
     corpus = load_corpus(args.data)
-    # the family's setting in `vpd compare`, with --window as the lr/mlp history
-    zoo = harness.default_zoo(replace(hconfig, window=args.window))
-    setting = {s.tag: s for s in zoo}[args.model]
+    # the family's setting in `vpd compare`
+    setting = {s.tag: s for s in harness.default_zoo(hconfig)}[args.model]
     feature_spec = FeatureSpec(channels=hconfig.channels, window=setting.window)
     model = setting.build(feature_spec.dim, seed=hconfig.train.seed)
     series = list(corpus.values())
@@ -115,19 +129,16 @@ def _threshold_arg(text: str) -> float:
     """``--threshold`` value: a float strictly between 0 and 1."""
     try:
         value = float(text)
-        if not 0.0 < value < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+        nets.check_threshold(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return value
 
 
 def cmd_evaluate(args) -> int:
-    model, meta = nets.load_model(Path(args.model).read_text())
-    feature_spec = FeatureSpec.from_dict(meta["features"])
-    threshold = args.threshold if args.threshold is not None else meta.get("threshold", 0.5)
-    default_morph = MorphFilterSpec.from_dict(meta["morph"]) if meta.get("morph") else None
-    post = getattr(args, "morph", default_morph)
+    model, feature_spec, threshold, morph = _read(args.model, _load_checkpoint)
+    threshold = getattr(args, "threshold", threshold)
+    post = getattr(args, "morph", morph)
     corpus = load_corpus(args.data)
     report = harness.evaluate_model(model, threshold, list(corpus.values()),
                                     feature_spec, post_filter=post)
@@ -152,10 +163,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_score(args) -> int:
-    pred_log = parse_log(Path(args.pred).read_text(), source_id=args.pred)
-    ref_log = parse_log(Path(args.ref).read_text(), source_id=args.ref)
-    pred_series = densify(pred_log)
-    ref_series = densify(ref_log)
+    pred_series, ref_series = (
+        _read(path, lambda text: densify(parse_log(text, source_id=path)))
+        for path in (args.pred, args.ref))
     pred_iv = extract_intervals(pred_series.channel(args.pred_channel),
                                 pred_series.first_frame)
     ref_iv = extract_intervals(ref_series.channel(args.ref_channel),
@@ -183,14 +193,13 @@ def main(argv=None) -> int:
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=[t for t in harness.MODEL_TAGS if t != "basic"],
                    default="final")
-    p.add_argument("--window", type=int, default=8, help="history window for lr/mlp")
     p.add_argument("--out", required=True, help="model checkpoint path (JSON)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained model on a log directory")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--threshold", type=_threshold_arg,
+    p.add_argument("--threshold", type=_threshold_arg, default=argparse.SUPPRESS,
                    help="output threshold in (0, 1) (default: the checkpoint's)")
     p.add_argument("--morph", type=_morph_arg, default=argparse.SUPPRESS,
                    help="open_width,close_width[,order] or 'none' "
@@ -212,8 +221,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("score", help="score a prediction channel against a reference")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--pred-channel", default="basic_clf")
-    p.add_argument("--ref-channel", default="ref_pass")
+    p.add_argument("--pred-channel", choices=CHANNELS, default="basic_clf")
+    p.add_argument("--ref-channel", choices=CHANNELS, default="ref_pass")
     p.set_defaults(func=cmd_score)
 
     args = parser.parse_args(argv)

@@ -134,13 +134,6 @@ class FrameSeries:
         except KeyError:
             raise KeyError(f"unknown channel {name!r}; have {sorted(self.channels)}") from None
 
-    def with_channel(self, name: str, values: np.ndarray) -> "FrameSeries":
-        chans = dict(self.channels)
-        if name not in chans:
-            raise KeyError(f"unknown channel {name!r}; have {sorted(chans)}")
-        chans[name] = np.asarray(values, dtype=np.uint8)
-        return FrameSeries(self.first_frame, chans)
-
 
 def parse_log(text: str | Iterable[str], source_id: str = "") -> EventLog:
     """Parse CSV log text (header ``frame,shield,loop,cor,basic,ref``).

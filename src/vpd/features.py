@@ -49,14 +49,3 @@ def window_expand(series: FrameSeries, spec: FeatureSpec) -> np.ndarray:
         else:
             block[lag:] = base[:-lag]
     return out
-
-
-def subset_series(series: FrameSeries, channels) -> FrameSeries:
-    """Restrict the series to the named input channels (plus the reference)."""
-    keep = list(channels)
-    if not keep:
-        raise ValueError("channel subset must be non-empty")
-    chans = {name: series.channel(name) for name in keep}
-    if "ref_pass" in series.channels and "ref_pass" not in chans:
-        chans["ref_pass"] = series.channel("ref_pass")
-    return FrameSeries(series.first_frame, chans)

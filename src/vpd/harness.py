@@ -44,7 +44,7 @@ class ModelSetting(DictConfig):
         if self.tag == "lr":
             return nets.init_lr(in_dim, seed=seed)
         if self.tag == "mlp":
-            return nets.init_mlp(in_dim, hidden=12, seed=seed)
+            return nets.init_mlp(in_dim, hidden=self.hidden, seed=seed)
         if self.tag == "simplernn":
             return nets.init_simplernn(in_dim, hidden=self.hidden, seed=seed)
         if self.tag == "lstm":
@@ -96,7 +96,7 @@ def default_zoo(config: HarnessConfig | None = None) -> list[ModelSetting]:
     return [
         ModelSetting("basic"),
         ModelSetting("lr", window=config.window),
-        ModelSetting("mlp", window=config.window),
+        ModelSetting("mlp", window=config.window, hidden=12),
         ModelSetting("simplernn", hidden=8),
         ModelSetting("lstm", hidden=8),
         ModelSetting("gru", hidden=8),

@@ -1,14 +1,13 @@
 """One-dimensional binary morphology with a flat structuring element.
 
-``erode``/``dilate`` are windowed all/any operations with zero padding and a
-left-biased center for even widths.  ``opening`` and ``closing`` are defined by
-their run-length semantics (remove positive runs shorter than k; fill interior
-zero gaps shorter than k), which is what the erode/dilate compositions give on
-an unbounded domain with a properly reflected element; composing the padded
-windowed operations directly would distort runs at sequence boundaries and,
-for even k, shift them, so the run form is used.  They work on the 1-runs as
-(row, start, end) arrays; one signal is row 0, and ``MorphFilterSpec.on_runs``
-filters the runs of many rows (e.g. one per threshold) at once.
+``opening`` and ``closing`` are defined by their run-length semantics (remove
+positive runs shorter than k; fill interior zero gaps shorter than k), which is
+what erosion and dilation compose to on an unbounded domain with a properly
+reflected element; composing windowed, zero-padded erosion and dilation
+directly would distort runs at sequence boundaries and, for even k, shift them,
+so the run form is used.  They work on the 1-runs as (row, start, end) arrays;
+one signal is row 0, and ``MorphFilterSpec.on_runs`` filters the runs of many
+rows (e.g. one per threshold) at once.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DictConfig
-from .event_log import FrameSeries
 from .passage_metric import runs
 
 
@@ -67,31 +65,6 @@ def _check_width(k: int) -> int:
     return int(k)
 
 
-def erode(signal, k: int) -> np.ndarray:
-    """out[i] = 1 iff every frame in the width-k window at i is 1 (0 outside)."""
-    arr = _check_signal(signal)
-    k = _check_width(k)
-    if k == 1 or arr.size == 0:
-        return arr.copy()
-    left, right = k // 2, (k - 1) // 2  # left-biased center for even k
-    padded = np.zeros(arr.size + k - 1, dtype=np.uint8)
-    padded[left:left + arr.size] = arr
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
-    return windows.min(axis=1)
-
-
-def dilate(signal, k: int) -> np.ndarray:
-    """out[i] = 1 iff any frame in the width-k window at i is 1."""
-    arr = _check_signal(signal)
-    k = _check_width(k)
-    if k == 1 or arr.size == 0:
-        return arr.copy()
-    padded = np.zeros(arr.size + k - 1, dtype=np.uint8)
-    padded[k // 2:k // 2 + arr.size] = arr
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
-    return windows.max(axis=1)
-
-
 def _row_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The runs of one signal as row 0 of the run form."""
     starts, ends = runs(arr)
@@ -136,8 +109,3 @@ def closing(signal, k: int) -> np.ndarray:
     _, starts, ends = _close_runs(*_row_runs(arr), _check_width(k))
     return _paint(starts, ends, arr.size)
 
-
-def apply_filter(series: FrameSeries, channel: str, spec: MorphFilterSpec) -> FrameSeries:
-    """Replace one channel with its morphologically filtered version."""
-    filtered = spec(series.channel(channel))
-    return series.with_channel(channel, filtered)

@@ -387,11 +387,6 @@ def decide(probs: np.ndarray, threshold: float, post_filter=None) -> np.ndarray:
     return pred if post_filter is None else post_filter(pred)
 
 
-def predict_binary(model: ModelParams, x: np.ndarray, threshold: float) -> np.ndarray:
-    """Eval-mode forward thresholded at ``output >= threshold``."""
-    return decide(forward(model, x, mode="eval"), threshold)
-
-
 # ---------------------------------------------------------------------------
 # loss and backward
 

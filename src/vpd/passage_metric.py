@@ -91,8 +91,7 @@ class PQReport:
 
     @property
     def pq(self) -> float:
-        total = self.r + self.sum_err
-        return self.r / total if total > 0 else 1.0
+        return pq_from_totals(self.r, self.sum_err)
 
     def to_dict(self) -> dict:
         return {
@@ -262,14 +261,3 @@ def pq_from_totals(r: float, sum_err: float) -> float:
     """PQ formula on (possibly fractional, e.g. run-averaged) totals."""
     total = r + sum_err
     return r / total if total > 0 else 1.0
-
-
-def pointwise_accuracy(ref: Sequence[int] | np.ndarray, pred: Sequence[int] | np.ndarray) -> float:
-    """Fraction of frames where the two binary signals agree."""
-    ref = np.asarray(ref)
-    pred = np.asarray(pred)
-    if ref.shape != pred.shape:
-        raise ValueError(f"length mismatch: {ref.shape} vs {pred.shape}")
-    if ref.size == 0:
-        raise ValueError("empty signals")
-    return float(np.mean(ref == pred))

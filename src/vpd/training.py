@@ -242,10 +242,13 @@ def select_threshold(model: nets.ModelParams,
                      post_filter: MorphFilterSpec | None = None) -> tuple[float, float]:
     """Sweep the threshold grid {step, 2*step, ...} and return the corpus-PQ
     maximizer (ties go to the smallest threshold), with its training PQ.
-    ``post_filter`` is a ``MorphFilterSpec`` or None."""
+    ``post_filter`` is a ``MorphFilterSpec`` or None; ``series_list`` may not
+    be empty."""
     if post_filter is not None and not isinstance(post_filter, MorphFilterSpec):
         raise TypeError("post_filter must be a MorphFilterSpec or None, "
                         f"got {type(post_filter).__name__}")
+    if not series_list:
+        raise ValueError("empty training set")
     grid, curve = sweep_thresholds(
         ((s.channel("ref_pass"), nets.forward(model, window_expand(s, feature_spec)))
          for s in series_list), grid_step, post_filter)

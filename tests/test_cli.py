@@ -63,10 +63,13 @@ class TestTrain:
         assert meta["train_pq"] > 0.9
 
     def test_lr_uses_window(self, workspace, tmp_path):
+        config = tmp_path / "window.json"
+        config.write_text(json.dumps({**json.loads(workspace["config"].read_text()),
+                                      "window": 2}))
         out = tmp_path / "lr.json"
-        assert main(["train", "--config", str(workspace["config"]),
+        assert main(["train", "--config", str(config),
                      "--data", str(workspace["data"]), "--model", "lr",
-                     "--window", "2", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         meta = json.loads(out.read_text())
         assert meta["features"]["window"] == 2
 
@@ -120,6 +123,47 @@ class TestBadConfig:
             main(["compare", "--config", str(config), "--data", str(workspace["data"]),
                   "--out", str(tmp_path / "out")])
         assert str(exc.value.code).startswith(f"{config}: ")
+
+
+HEADER = "frame,shield,loop,cor,basic,ref\n"
+
+
+class TestBadInput:
+    """A checkpoint or log that cannot be read or parsed exits with one line
+    naming the file, as a bad config does."""
+
+    @pytest.mark.parametrize("argv, text, problem", [
+        ("evaluate --model {bad} --data {data}", '{"variant": "lr"}', "missing 'params'"),
+        ("evaluate --model {bad} --data {data}", "not json", "Expecting value"),
+        ("evaluate --model {bad} --data {data}", None, "No such file"),
+        ("score --pred {bad} --ref {log}", HEADER, "empty log"),
+        ("score --pred {log} --ref {bad}", None, "No such file"),
+        ("train --data {dir} --out {out}", HEADER + "1,0,2,0,0,0\n", "line 2: loop must be"),
+        ("evaluate --model {ckpt} --data {dir}", HEADER + "1,0,1\n", "line 2: expected 6"),
+        ("compare --data {dir} --out {out}", "frame,shield\n", "line 1: bad header"),
+    ], ids=["checkpoint-without-params", "checkpoint-not-json", "checkpoint-missing",
+            "score-header-only", "score-missing", "train-non-bit", "evaluate-short-row",
+            "compare-bad-header"])
+    def test_exits_with_one_line(self, workspace, tmp_path, argv, text, problem):
+        bad = tmp_path / "bad.csv"
+        if text is not None:
+            bad.write_text(text)
+        out = tmp_path / "out"
+        log = sorted(workspace["data"].glob("*.csv"))[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv.format(bad=bad, data=workspace["data"], dir=tmp_path, out=out,
+                             log=log, ckpt=workspace["checkpoint"]).split())
+        message = str(exc.value.code)
+        assert message.startswith(f"{bad}: ") and problem in message
+        assert "\n" not in message and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--pred-channel", "--ref-channel"])
+    def test_unknown_channel_is_a_usage_error(self, workspace, flag, capsys):
+        log = str(sorted(workspace["data"].glob("*.csv"))[0])
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--pred", log, "--ref", log, flag, "bogus"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -229,3 +273,8 @@ class TestParser:
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit):
             main(["train", "--data", "somewhere"])
+
+    def test_train_takes_window_from_config_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", "somewhere", "--out", "x.json", "--window", "2"])
+        assert exc.value.code == 2 and "--window" in capsys.readouterr().err

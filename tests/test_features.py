@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vpd.event_log import FrameSeries, densify
-from vpd.features import FeatureSpec, subset_series, window_expand
+from vpd.event_log import FrameSeries
+from vpd.features import FeatureSpec, window_expand
 
 
 def make_series(**channels):
@@ -76,29 +76,3 @@ class TestWindowExpand:
         with pytest.raises(KeyError):
             window_expand(s, FeatureSpec(("loop",)))
 
-
-class TestSubsetSeries:
-    def test_keeps_named_plus_ref(self, sample_log):
-        series = densify(sample_log)
-        sub = subset_series(series, ("shield", "cor"))
-        assert set(sub.channels) == {"shield", "cor", "ref_pass"}
-        assert np.array_equal(sub.channel("shield"), series.channel("shield"))
-
-    def test_all_channels_identity(self, sample_log):
-        series = densify(sample_log)
-        sub = subset_series(series, list(series.channels))
-        assert set(sub.channels) == set(series.channels)
-
-    def test_single_channel(self, sample_log):
-        series = densify(sample_log)
-        sub = subset_series(series, ("loop",))
-        assert set(sub.channels) == {"loop", "ref_pass"}
-        assert np.array_equal(sub.channel("loop"), series.channel("loop"))
-
-    def test_unknown_channel(self, sample_log):
-        with pytest.raises(KeyError):
-            subset_series(densify(sample_log), ("coupler",))
-
-    def test_empty_subset(self, sample_log):
-        with pytest.raises(ValueError):
-            subset_series(densify(sample_log), ())

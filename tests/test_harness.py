@@ -163,6 +163,11 @@ class TestModelComparison:
         final = results[-1].config["model"]
         assert (final["tag"], final["hidden"], final["dense_units"]) == ("final", 6, 4)
 
+    def test_mlp_row_records_its_width(self, results):
+        setting = next(r for r in results if r.model_tag == "mlp").config["model"]
+        model = ModelSetting.from_dict(setting).build(in_dim=15, seed=0)
+        assert setting["hidden"] == model.dense[0].out_dim == 12
+
     def test_shared_split_plan(self, results):
         assert len({r.plan_hash for r in results}) == 1
 

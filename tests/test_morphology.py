@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vpd.event_log import FrameSeries
-from vpd.morphology import (MorphFilterSpec, apply_filter, closing, dilate,
-                            erode, opening)
+from vpd.morphology import MorphFilterSpec, closing, opening
 from vpd.passage_metric import runs
 
 signals = st.lists(st.integers(0, 1), min_size=0, max_size=40).map(
@@ -47,53 +45,6 @@ def all_signals(max_len):
             yield np.array(bits, dtype=np.uint8)
 
 
-class TestErodeDilate:
-    def test_erode_k1_identity(self):
-        s = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-        assert np.array_equal(erode(s, 1), s)
-
-    def test_dilate_k1_identity(self):
-        s = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-        assert np.array_equal(dilate(s, 1), s)
-
-    def test_erode_example(self):
-        assert list(erode([0, 1, 1, 1, 0], 3)) == [0, 0, 1, 0, 0]
-
-    def test_dilate_example(self):
-        assert list(dilate([0, 0, 1, 0, 0], 3)) == [0, 1, 1, 1, 0]
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            erode([1], 0)
-        with pytest.raises(ValueError):
-            dilate([1], -2)
-
-    def test_even_k_left_bias(self):
-        # window for k=2 covers {i-1, i}
-        assert list(dilate([0, 1, 0, 0], 2)) == [0, 1, 1, 0]
-        assert list(erode([1, 1, 0, 0], 2)) == [0, 1, 0, 0]
-
-    @given(signals, widths)
-    def test_duality_away_from_boundary(self, s, k):
-        interior = slice(k, max(len(s) - k, k))
-        lhs = dilate(s, k)[interior]
-        rhs = (1 - erode(1 - s, k))[interior]
-        assert np.array_equal(lhs, rhs)
-
-    def test_brute_force_window_scan(self):
-        for s in all_signals(10):
-            n = len(s)
-            for k in (1, 2, 3, 4):
-                expect_e = [int(all(0 <= j < n and s[j] for j in
-                                    range(i - k // 2, i + (k - 1) // 2 + 1)))
-                            for i in range(n)]
-                expect_d = [int(any(0 <= j < n and s[j] for j in
-                                    range(i - k // 2, i + (k - 1) // 2 + 1)))
-                            for i in range(n)]
-                assert list(erode(s, k)) == expect_e
-                assert list(dilate(s, k)) == expect_d
-
-
 class TestOpenClose:
     def test_open_removes_short_runs(self):
         assert list(opening([0, 1, 0, 0, 1, 1, 1, 0], 3)) == [0, 0, 0, 0, 1, 1, 1, 0]
@@ -103,6 +54,12 @@ class TestOpenClose:
 
     def test_close_leaves_boundary_gaps(self):
         assert list(closing([0, 1, 1, 0], 3)) == [0, 1, 1, 0]
+
+    def test_invalid_width(self):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            opening([1], 0)
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            closing([1], -2)
 
     @given(signals, widths)
     def test_idempotence(self, s, k):
@@ -174,19 +131,11 @@ class TestRunForm:
 
 
 class TestApplyFilter:
-    def series(self, **channels):
-        return FrameSeries(0, {k: np.array(v, dtype=np.uint8)
-                               for k, v in channels.items()})
+    """A ``MorphFilterSpec`` applied to one signal."""
 
     def test_identity_spec(self):
-        s = self.series(cor=[0, 1, 0, 1, 0], ref_pass=[0, 1, 1, 1, 0])
-        out = apply_filter(s, "cor", MorphFilterSpec(1, 1))
-        assert np.array_equal(out.channel("cor"), s.channel("cor"))
-
-    def test_other_channels_untouched(self):
-        s = self.series(cor=[0, 1, 0, 1, 0], ref_pass=[0, 1, 1, 1, 0])
-        out = apply_filter(s, "cor", MorphFilterSpec(3, 3))
-        assert np.array_equal(out.channel("ref_pass"), s.channel("ref_pass"))
+        sig = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
+        assert np.array_equal(MorphFilterSpec(1, 1)(sig), sig)
 
     def test_order_matters(self):
         sig = np.array([0, 1, 0, 1, 0], dtype=np.uint8)
@@ -202,16 +151,8 @@ class TestApplyFilter:
         noisy = clean.copy()
         for pos in rng.integers(0, 200, 8):
             noisy[pos:pos + 2] ^= 1
-        s = self.series(cor=noisy, ref_pass=clean)
-        out = apply_filter(s, "cor", MorphFilterSpec(3, 3)).channel("cor")
-        runs = np.flatnonzero(np.diff(np.concatenate([[0], out, [0]]).astype(int)) == 1)
-        ends = np.flatnonzero(np.diff(np.concatenate([[0], out, [0]]).astype(int)) == -1)
-        assert all(e - a >= 3 for a, e in zip(runs, ends))
-
-    def test_unknown_channel(self):
-        s = self.series(cor=[0, 1])
-        with pytest.raises(KeyError):
-            apply_filter(s, "loop", MorphFilterSpec())
+        starts, ends = runs(MorphFilterSpec(3, 3)(noisy))
+        assert np.all(ends - starts + 1 >= 3)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from vpd import nets
-from vpd.nets import GATES, CellParams, cell_step, forward, predict_binary
+from vpd.nets import GATES, CellParams, cell_step, forward
 from vpd.training import LossSpec
 
 
@@ -183,35 +183,19 @@ class TestForward:
             forward(model, np.zeros((4, 2)))
 
 
-class TestPredictBinary:
-    def test_tie_goes_to_one(self):
-        model = nets.init_lr(3, seed=0)
-        nets.set_flat(model, np.zeros(nets.get_flat(model).size))
-        assert predict_binary(model, np.zeros((4, 3)), 0.5).tolist() == [1, 1, 1, 1]
-
-    def test_high_threshold_all_zero(self):
-        model = nets.init_lr(3, seed=0)
-        nets.set_flat(model, np.zeros(nets.get_flat(model).size))
-        assert predict_binary(model, np.zeros((4, 3)), 0.999).tolist() == [0, 0, 0, 0]
-
-    def test_rejects_out_of_range_threshold(self):
-        model = nets.init_lr(3, seed=0)
-        with pytest.raises(ValueError):
-            predict_binary(model, np.zeros((2, 3)), 1.5)
-
-    def test_equals_forward_plus_compare(self):
-        rng = np.random.default_rng(5)
-        model = perturbed(nets.init_gru(3, hidden=4, seed=1), rng)
-        x = rng.random((20, 3))
-        expect = (forward(model, x) >= 0.4).astype(np.uint8)
-        assert np.array_equal(predict_binary(model, x, 0.4), expect)
-
-
 class TestDecide:
     def test_threshold_then_filter(self):
         probs = np.array([0.9, 0.2, 0.9, 0.5, 0.1])
         assert nets.decide(probs, 0.5).tolist() == [1, 0, 1, 1, 0]
         assert nets.decide(probs, 0.5, post_filter=lambda p: 1 - p).tolist() == [0, 1, 0, 0, 1]
+
+    def test_tie_goes_to_one(self):
+        # a zero-parameter model outputs exactly 0.5 on every frame
+        model = nets.init_lr(3, seed=0)
+        nets.set_flat(model, np.zeros(nets.get_flat(model).size))
+        probs = forward(model, np.zeros((4, 3)))
+        assert nets.decide(probs, 0.5).tolist() == [1, 1, 1, 1]
+        assert nets.decide(probs, 0.999).tolist() == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -3.0, float("nan")])
     def test_rejects_out_of_range_threshold(self, threshold):

@@ -6,8 +6,7 @@ from conftest import random_intervals
 from vpd.event_log import densify
 from vpd.passage_metric import (KINDS, Interval, classify_component, component_totals,
                                 extract_intervals, match_passages, pass_quality,
-                                pointwise_accuracy, pq_from_totals, runs, score_signals,
-                                summarize_components)
+                                pq_from_totals, runs, score_signals, summarize_components)
 
 
 def bits(n):
@@ -279,31 +278,18 @@ class TestScoreSignals:
         report = score_signals([])
         assert (report.r, report.sum_err, report.pq, report.accuracy) == (0, 0, 1.0, None)
 
+    @pytest.mark.parametrize("ref, pred, accuracy", [
+        ([1, 0, 1], [1, 0, 1], 1.0),
+        ([1, 0], [0, 1], 0.0),
+    ], ids=["all-agree", "all-disagree"])
+    def test_accuracy(self, ref, pred, accuracy):
+        assert score_signals([(np.array(ref), np.array(pred))]).accuracy == accuracy
+
     def test_rejects_length_mismatch(self):
         ok = (np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
         bad = (np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
         with pytest.raises(ValueError, match="length mismatch"):
             score_signals([ok, bad])
-
-
-class TestPointwiseAccuracy:
-    def test_identical(self):
-        assert pointwise_accuracy([1, 0, 1], [1, 0, 1]) == 1.0
-
-    def test_complement(self):
-        assert pointwise_accuracy([1, 0], [0, 1]) == 0.0
-
-    def test_random_matches_count(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(1, 100))
-            a = rng.integers(0, 2, n)
-            b = rng.integers(0, 2, n)
-            assert pointwise_accuracy(a, b) == np.sum(a == b) / n
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pointwise_accuracy([1], [1, 0])
 
 
 class TestReportSerialization:

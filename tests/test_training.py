@@ -254,8 +254,13 @@ class TestSelectThreshold:
         assert 0.0 < t_plain < 1.0 and 0.0 < t_morph < 1.0
 
     def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            select_threshold(nets.init_lr(3), [], FeatureSpec(), 1.5)
+        series = [make_series(np.ones(4), shield=np.ones(4), loop=np.ones(4), cor=np.ones(4))]
+        with pytest.raises(ValueError, match="grid_step"):
+            select_threshold(nets.init_lr(3), series, FeatureSpec(), 1.5)
+
+    def test_empty_training_set(self):
+        with pytest.raises(ValueError, match="empty training set"):
+            select_threshold(nets.init_lr(3), [], FeatureSpec(), 0.1)
 
     @pytest.mark.parametrize("post_filter", [(3, 3), lambda pred: pred, "close-then-open"])
     def test_post_filter_must_be_spec_or_none(self, post_filter):
@@ -271,6 +276,10 @@ class TestSelectThreshold:
         # select_threshold over the files a FrameSeries can hold (one frame or more)
         files = [(ref, probs) for ref, probs in pairs if ref.size]
         series = [make_series(ref, shield=ref, loop=ref, cor=ref) for ref, _ in files]
+        if not series:
+            with pytest.raises(ValueError, match="empty training set"):
+                select_threshold(nets.init_lr(3), series, FeatureSpec(), grid_step)
+            return
         with mock.patch.object(nets, "forward", side_effect=[probs for _, probs in files]):
             chosen = select_threshold(nets.init_lr(3), series, FeatureSpec(), grid_step,
                                       post_filter=post_filter)
