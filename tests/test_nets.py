@@ -189,13 +189,29 @@ class TestDecide:
         assert nets.decide(probs, 0.5).tolist() == [1, 0, 1, 1, 0]
         assert nets.decide(probs, 0.5, post_filter=lambda p: 1 - p).tolist() == [0, 1, 0, 0, 1]
 
-    def test_tie_goes_to_one(self):
+    @staticmethod
+    def half_probs():
         # a zero-parameter model outputs exactly 0.5 on every frame
         model = nets.init_lr(3, seed=0)
         nets.set_flat(model, np.zeros(nets.get_flat(model).size))
-        probs = forward(model, np.zeros((4, 3)))
-        assert nets.decide(probs, 0.5).tolist() == [1, 1, 1, 1]
-        assert nets.decide(probs, 0.999).tolist() == [0, 0, 0, 0]
+        return forward(model, np.zeros((4, 3)))
+
+    def test_tie_goes_to_one(self):
+        assert nets.decide(self.half_probs(), 0.5).tolist() == [1, 1, 1, 1]
+
+    def test_high_threshold_all_zero(self):
+        assert nets.decide(self.half_probs(), 0.999).tolist() == [0, 0, 0, 0]
+
+    def test_equals_forward_plus_compare(self):
+        rng = np.random.default_rng(5)
+        model = perturbed(nets.init_gru(3, hidden=4, seed=1), rng)
+        x = rng.random((20, 3))
+        expect = (forward(model, x) >= 0.4).astype(np.uint8)
+        assert np.array_equal(nets.decide(forward(model, x), 0.4), expect)
+
+    def test_rejects_threshold_on_model_output(self):
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
+            nets.decide(self.half_probs(), 1.5)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -3.0, float("nan")])
     def test_rejects_out_of_range_threshold(self, threshold):

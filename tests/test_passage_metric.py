@@ -285,6 +285,14 @@ class TestScoreSignals:
     def test_accuracy(self, ref, pred, accuracy):
         assert score_signals([(np.array(ref), np.array(pred))]).accuracy == accuracy
 
+    def test_accuracy_random_matches_count(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(1, 100))
+            a = rng.integers(0, 2, n)
+            b = rng.integers(0, 2, n)
+            assert score_signals([(a, b)]).accuracy == np.sum(a == b) / n
+
     def test_rejects_length_mismatch(self):
         ok = (np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
         bad = (np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
