@@ -46,16 +46,24 @@ def _load_checkpoint(text: str):
     """Model, feature spec, threshold and post filter of a ``vpd train`` checkpoint."""
     model, meta = nets.load_model(text)
     morph = MorphFilterSpec.from_dict(meta["morph"]) if meta.get("morph") else None
-    return model, FeatureSpec.from_dict(meta["features"]), meta.get("threshold", 0.5), morph
+    threshold = meta.get("threshold", 0.5)
+    nets.check_threshold(threshold)
+    return model, FeatureSpec.from_dict(meta["features"]), threshold, morph
+
+
+def _dense_or_none(text: str, source_id: str):
+    """Dense series of a log text, or None for a log with no records."""
+    log = parse_log(text, source_id=source_id)
+    return densify(log) if log.records else None
 
 
 def load_corpus(data_dir: str) -> dict:
     """Directory of *.csv logs -> {file id: dense FrameSeries}."""
     corpus = {}
     for path in sorted(Path(data_dir).glob("*.csv")):
-        log = _read(path, partial(parse_log, source_id=path.stem))
-        if log.records:
-            corpus[path.stem] = densify(log)
+        series = _read(path, partial(_dense_or_none, source_id=path.stem))
+        if series is not None:
+            corpus[path.stem] = series
         else:
             print(f"skipping {path.name}: no records", file=sys.stderr)
     if not corpus:

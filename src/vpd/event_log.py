@@ -23,9 +23,14 @@ INPUT_CHANNELS = ("shield", "loop", "cor")
 #: frame numbers must be below this, so that ``densify``'s int64 table holds them
 FRAME_LIMIT = 2 ** 63
 
+#: most frames ``densify`` realizes for one log (5 bytes each): far above any
+#: real log, far below what a stray frame number would ask for
+SPAN_LIMIT = 10 ** 7
+
 
 class LogFormatError(ValueError):
-    """Malformed log text (bad header, row shape, or non-bit value)."""
+    """Malformed log text (bad header, row shape, or non-bit value), or a log
+    whose frames span more than ``SPAN_LIMIT``."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -195,6 +200,9 @@ def densify(log: EventLog) -> FrameSeries:
     """Dense per-frame view from first to last recorded frame, zero-order hold."""
     if not log.records:
         raise EmptyLogError(f"cannot densify empty log {log.source_id!r}")
+    span = log.records[-1].frame_no - log.records[0].frame_no + 1
+    if span > SPAN_LIMIT:
+        raise LogFormatError(f"log spans {span} frames, above the limit of {SPAN_LIMIT}")
     table = np.array(list(map(attrgetter("frame_no", *CHANNELS), log.records)), dtype=np.int64)
     frames = table[:, 0]
     # hold each record's values until the next record; the last holds one frame

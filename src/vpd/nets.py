@@ -287,28 +287,32 @@ def _dropout_masks(model: ModelParams, mode: str, rng) -> list[np.ndarray | None
     return [(gen.random(layer.in_dim) < keep).astype(np.float64) for layer in model.dense]
 
 
-def _cell_forward(cell: CellParams, x: np.ndarray) -> dict:
-    """Run the cell over the whole sequence, keeping per-step caches.
+def _cell_forward(cell: CellParams, x: np.ndarray, state=None) -> dict:
+    """Run the cell over the sequence from ``state`` (zero if None), keeping
+    per-step caches; ``cache["state"]`` is the state after the last step.
 
     ``A`` (T, G*h) holds the gate pre-activations ``x @ w.T + b``; step t adds
     its recurrent term to row t and overwrites it with the gate activations,
     so the backward pass reads gate k of step t from ``A[t, k*h:(k+1)*h]``.
+    The backward pass assumes a zero initial state.
     """
     T = x.shape[0]
     n = cell.hidden
     A = x @ cell.w.T
     A += cell.b
     cache = {"x": x, "A": A}
-    h = np.zeros(n)
+    if state is None:
+        state = cell.zero_state()
     if cell.kind == "simplernn":
+        h = state
         for t in range(T):
             a = A[t]
             a += cell.u @ h
             h = np.tanh(a, out=a)
-        cache["H"] = A
+        cache.update(H=A, state=h)
     elif cell.kind == "lstm":
         H, C, TC = (np.zeros((T, n)) for _ in range(3))
-        c = np.zeros(n)
+        h, c = state
         for t in range(T):
             a = A[t]
             a += cell.u @ h
@@ -319,11 +323,12 @@ def _cell_forward(cell: CellParams, x: np.ndarray) -> dict:
             tc = np.tanh(c)
             h = o * tc
             C[t], TC[t], H[t] = c, tc, h
-        cache.update(H=H, C=C, TC=TC)
+        cache.update(H=H, C=C, TC=TC, state=(h, c))
     else:
         H = np.zeros((T, n))
         RH = np.zeros((T, n))  # r * h_prev, reused by the backward pass
         u_zr, u_h = cell.u[:2 * n], cell.u[2 * n:]
+        h = state
         for t in range(T):
             a = A[t]
             zr, ht = a[:2 * n], a[2 * n:]
@@ -334,7 +339,7 @@ def _cell_forward(cell: CellParams, x: np.ndarray) -> dict:
             np.tanh(ht, out=ht)
             h = (1.0 - zr[:n]) * h + zr[:n] * ht
             RH[t], H[t] = rh, h
-        cache.update(H=H, RH=RH)
+        cache.update(H=H, RH=RH, state=h)
     return cache
 
 
@@ -349,18 +354,29 @@ def _dense_forward(model: ModelParams, A: np.ndarray, masks) -> tuple[np.ndarray
     return A, caches
 
 
-def _forward_full(model: ModelParams, x: np.ndarray, mode: str, rng):
+def _checked_input(model: ModelParams, x: np.ndarray, mode: str, rng):
+    """``x`` as float64 after the shape and mode checks, and the dropout masks."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise ValueError(f"input shape {x.shape} incompatible with model input "
                          f"dimension {model.in_dim}")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    masks = _dropout_masks(model, mode, rng)
+    return x, _dropout_masks(model, mode, rng)
+
+
+def _forward_full(model: ModelParams, x: np.ndarray, mode: str, rng):
+    """Whole-sequence pass that keeps every cache ``backward`` reads."""
+    x, masks = _checked_input(model, x, mode, rng)
     cell_cache = _cell_forward(model.cell, x) if model.cell is not None else None
     A0 = cell_cache["H"] if cell_cache is not None else x
     out, dense_caches = _dense_forward(model, A0, masks)
     return out[:, 0], cell_cache, dense_caches, masks
+
+
+#: frames per chunk of ``forward``: above the longest paper-like log (351
+#: frames), so such logs run as one chunk and match ``_forward_full`` bit for bit
+_CHUNK = 2048
 
 
 def forward(model: ModelParams, x: np.ndarray, mode: str = "eval", rng=None) -> np.ndarray:
@@ -369,8 +385,21 @@ def forward(model: ModelParams, x: np.ndarray, mode: str = "eval", rng=None) -> 
     Recurrent state starts at zero and is never carried across sequences.
     Dropout is active only in train mode, with inverted scaling; ``rng`` may be
     a seed or a Generator and fully determines the masks.
+
+    The sequence runs in chunks of ``_CHUNK`` frames with the recurrent state
+    carried from one chunk into the next, so the result is the whole-sequence
+    one and memory beyond ``x`` and the output is O(chunk), not O(T).
     """
-    return _forward_full(model, x, mode, rng)[0]
+    x, masks = _checked_input(model, x, mode, rng)
+    out = np.empty(len(x))
+    chunk, state = _CHUNK, None
+    for start in range(0, len(x), chunk):
+        a = x[start:start + chunk]
+        if model.cell is not None:
+            cache = _cell_forward(model.cell, a, state)
+            a, state = cache["H"], cache["state"]
+        out[start:start + chunk] = _dense_forward(model, a, masks)[0][:, 0]
+    return out
 
 
 def check_threshold(threshold: float) -> None:
@@ -544,6 +573,13 @@ def _check_dims(what: str, declared: dict, actual: dict) -> None:
         raise ValueError(f"checkpoint declares {what} {declared} but its arrays give {actual}")
 
 
+def _mapping(what: str, value):
+    """``value`` if it is a JSON object; a ``TypeError`` naming ``what`` otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"checkpoint {what} must be a mapping, got {type(value).__name__}")
+    return value
+
+
 def load_model(text: str) -> tuple[ModelParams, dict]:
     """Inverse of :func:`save_model`; returns (model, leftover metadata).
 
@@ -551,9 +587,10 @@ def load_model(text: str) -> tuple[ModelParams, dict]:
     (``cell.w_i``, ``cell.u_i``, ``cell.b_i``, ...) by stacking them in
     ``GATES`` order.
     """
-    doc = json.loads(text)
-    params = {name: np.array(p["data"], dtype=np.float64).reshape(p["shape"])
-              for name, p in doc["params"].items()}
+    doc = _mapping("checkpoint", json.loads(text))
+    params = {name: np.array(_mapping(f"params[{name!r}]", p)["data"],
+                             dtype=np.float64).reshape(p["shape"])
+              for name, p in _mapping("params", doc["params"]).items()}
 
     def take(name):
         if name not in params:
@@ -563,7 +600,7 @@ def load_model(text: str) -> tuple[ModelParams, dict]:
     cell = None
     cell_spec = doc["cell"]
     if cell_spec is not None:
-        kind = cell_spec["kind"]
+        kind = _mapping("cell", cell_spec)["kind"]
         if kind not in GATES:
             raise ValueError(f"unknown cell kind {kind!r}")
         if "cell.w" in params:
@@ -574,10 +611,12 @@ def load_model(text: str) -> tuple[ModelParams, dict]:
         cell = CellParams(kind, w, u, b)
         _check_dims("cell", {"hidden": cell_spec["hidden"], "in": cell_spec["in"]},
                     {"hidden": cell.hidden, "in": cell.in_dim})
+    if not isinstance(doc["dense"], list):
+        raise TypeError(f"checkpoint dense must be a list, got {type(doc['dense']).__name__}")
     dense = []
     for i, spec in enumerate(doc["dense"]):
         layer = DenseParams(take(f"dense{i}.weights"), take(f"dense{i}.bias"),
-                            spec["activation"])
+                            _mapping(f"dense[{i}]", spec)["activation"])
         _check_dims(f"dense{i}", {"out": spec["out"], "in": spec["in"]},
                     {"out": layer.out_dim, "in": layer.in_dim})
         dense.append(layer)

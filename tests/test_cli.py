@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from vpd.cli import main
+from vpd import nets
+from vpd.cli import load_corpus, main
+from vpd.event_log import SPAN_LIMIT
+from vpd.features import FeatureSpec
 from vpd.training import LossSpec, TrainConfig
 
 
@@ -126,6 +129,10 @@ class TestBadConfig:
 
 
 HEADER = "frame,shield,loop,cor,basic,ref\n"
+#: a log one frame longer than ``densify`` realizes
+WIDE_LOG = HEADER + f"0,0,0,0,0,0\n{SPAN_LIMIT},1,0,0,0,0\n"
+THRESHOLD_ABOVE_ONE = nets.save_model(nets.init_lr(3), extra={
+    "features": FeatureSpec().to_dict(), "threshold": 1.5})
 
 
 class TestBadInput:
@@ -141,9 +148,15 @@ class TestBadInput:
         ("train --data {dir} --out {out}", HEADER + "1,0,2,0,0,0\n", "line 2: loop must be"),
         ("evaluate --model {ckpt} --data {dir}", HEADER + "1,0,1\n", "line 2: expected 6"),
         ("compare --data {dir} --out {out}", "frame,shield\n", "line 1: bad header"),
+        ("evaluate --model {bad} --data {data}", '{"variant": "lr", "params": []}',
+         "params must be a mapping"),
+        ("evaluate --model {bad} --data {data}", THRESHOLD_ABOVE_ONE,
+         "threshold must be in (0, 1), got 1.5"),
+        ("score --pred {bad} --ref {log}", WIDE_LOG, "above the limit"),
     ], ids=["checkpoint-without-params", "checkpoint-not-json", "checkpoint-missing",
             "score-header-only", "score-missing", "train-non-bit", "evaluate-short-row",
-            "compare-bad-header"])
+            "compare-bad-header", "checkpoint-params-list", "checkpoint-threshold-above-one",
+            "score-wide-span"])
     def test_exits_with_one_line(self, workspace, tmp_path, argv, text, problem):
         bad = tmp_path / "bad.csv"
         if text is not None:
@@ -156,6 +169,15 @@ class TestBadInput:
         message = str(exc.value.code)
         assert message.startswith(f"{bad}: ") and problem in message
         assert "\n" not in message and not out.exists()
+
+    def test_wide_log_in_data_directory(self, tmp_path):
+        # load_corpus, not a command: a command that went on would model 10**7 frames
+        bad = tmp_path / "bad.csv"
+        bad.write_text(WIDE_LOG)
+        with pytest.raises(SystemExit) as exc:
+            load_corpus(str(tmp_path))
+        assert str(exc.value.code) == (f"{bad}: log spans {SPAN_LIMIT + 1} frames, "
+                                       f"above the limit of {SPAN_LIMIT}")
 
     @pytest.mark.parametrize("flag", ["--pred-channel", "--ref-channel"])
     def test_unknown_channel_is_a_usage_error(self, workspace, flag, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_event_log
-from vpd.event_log import (CHANNELS, EmptyLogError, EventLog, EventRecord,
+from vpd import event_log
+from vpd.event_log import (CHANNELS, SPAN_LIMIT, EmptyLogError, EventLog, EventRecord,
                            FrameSeries, LogFormatError, LogOrderError, densify,
                            parse_log, sparsify, write_log)
 
@@ -131,6 +132,19 @@ class TestDensify:
     def test_empty_log(self):
         with pytest.raises(EmptyLogError):
             densify(EventLog((), source_id="empty"))
+
+    def test_span_over_limit_rejected(self):
+        # one frame over the limit; nothing of that size may be allocated
+        log = parse_log(f"{HEADER}\n7,0,0,0,0,0\n{7 + SPAN_LIMIT},1,0,0,0,0\n")
+        with pytest.raises(LogFormatError,
+                           match=f"spans {SPAN_LIMIT + 1} frames, above the limit of {SPAN_LIMIT}"):
+            densify(log)
+
+    def test_span_at_limit_accepted(self, monkeypatch):
+        monkeypatch.setattr(event_log, "SPAN_LIMIT", 4)
+        assert len(densify(parse_log(f"{HEADER}\n5,0,0,0,0,0\n8,1,0,0,0,0\n"))) == 4
+        with pytest.raises(LogFormatError, match="spans 5 frames"):
+            densify(parse_log(f"{HEADER}\n5,0,0,0,0,0\n9,1,0,0,0,0\n"))
 
     @settings(deadline=None)
     @given(st.integers(0, 1000),

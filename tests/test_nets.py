@@ -1,8 +1,12 @@
 import json
+import re
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from vpd import nets
@@ -37,6 +41,19 @@ def perturbed(model, rng, scale=0.4):
     flat += rng.normal(0.0, scale, flat.size)
     nets.set_flat(model, flat)
     return model
+
+
+def cell_step_forward(model, x):
+    """Eval-mode outputs from a ``cell_step`` loop and then the dense stack."""
+    state = model.cell.zero_state()
+    outs = []
+    for t in range(len(x)):
+        h, state = cell_step(model.cell, x[t], state)
+        outs.append(h)
+    dense_in = np.stack(outs)
+    for layer in model.dense:
+        dense_in = nets._act(layer.activation, dense_in @ layer.weights.T + layer.bias)
+    return dense_in[:, 0]
 
 
 ALL_BUILDERS = {
@@ -124,17 +141,7 @@ class TestCellStep:
         for name in ("simplernn", "lstm", "gru"):
             model = perturbed(ALL_BUILDERS[name](3), rng)
             x = rng.random((15, 3))
-            y = forward(model, x)
-            state = model.cell.zero_state()
-            outs = []
-            for t in range(15):
-                h, state = cell_step(model.cell, x[t], state)
-                outs.append(h)
-            dense_in = np.stack(outs)
-            for layer in model.dense:
-                dense_in = nets._act(layer.activation,
-                                     dense_in @ layer.weights.T + layer.bias)
-            assert np.allclose(y, dense_in[:, 0], atol=1e-12)
+            assert np.allclose(forward(model, x), cell_step_forward(model, x), atol=1e-12)
 
 
 class TestForward:
@@ -181,6 +188,56 @@ class TestForward:
         model = nets.init_lr(3, seed=0)
         with pytest.raises(ValueError):
             forward(model, np.zeros((4, 2)))
+
+
+class TestStreamedForward:
+    """``forward`` runs ``nets._CHUNK`` frames at a time with the recurrent state
+    carried across chunks; ``_forward_full``, the whole-sequence pass that
+    ``backward`` uses, is its oracle."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(sorted(ALL_BUILDERS)), st.integers(0, 70),
+           st.sampled_from([1, 2, 3, 7, "T", "T+1"]), st.sampled_from(["eval", "train"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_whole_sequence_pass(self, name, T, chunk, mode, seed):
+        rng = np.random.default_rng(seed)
+        model = perturbed(ALL_BUILDERS[name](seed % 5), rng)
+        if mode == "train":
+            model.dropout_p = 0.4
+        x = rng.random((T, 3))
+        chunk = max(1, {"T": T, "T+1": T + 1}.get(chunk, chunk))
+        # Generators, not seeds: masks redrawn per chunk would then differ
+        with mock.patch.object(nets, "_CHUNK", chunk):
+            y = forward(model, x, mode=mode, rng=np.random.default_rng(seed))
+        expect = nets._forward_full(model, x, mode, np.random.default_rng(seed))[0]
+        if chunk >= T:
+            assert np.array_equal(y, expect)
+        else:
+            assert y.shape == expect.shape
+            assert np.max(np.abs(y - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["simplernn", "lstm", "gru", "final"])
+    def test_chunk_of_one_matches_cell_step_loop(self, name, monkeypatch):
+        rng = np.random.default_rng(21)
+        model = perturbed(ALL_BUILDERS[name](3), rng)
+        x = rng.random((25, 3))
+        monkeypatch.setattr(nets, "_CHUNK", 1)
+        assert np.max(np.abs(forward(model, x) - cell_step_forward(model, x))) <= 1e-12
+
+    def test_eval_memory_is_bounded_by_the_chunk(self):
+        h, d = 16, 8
+        model = nets.init_final(3, lstm_units=h, dense_units=d, seed=0)
+        x = np.random.default_rng(0).random((20_000, 3))
+        tracemalloc.start()
+        try:
+            y = forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # float64 caches per frame: gate rows, H, C and tanh(C), each dense layer's
+        # Z and output; the previous chunk's live until the next chunk's replace them
+        per_frame = 8 * (4 * h + 3 * h + 2 * d + 2 * 1)
+        assert peak <= 3 * y.nbytes + 2 * nets._CHUNK * per_frame
 
 
 class TestDecide:
@@ -315,6 +372,23 @@ class TestSerialization:
         del doc["params"][drop]
         with pytest.raises(ValueError, match=drop):
             nets.load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda doc: doc.update(params=list(doc["params"].values())), "params must be a mapping"),
+        (lambda doc: doc["params"].update({"cell.w": [1.0]}), "params['cell.w'] must be a mapping"),
+        (lambda doc: doc.update(cell=["lstm", 4]), "cell must be a mapping"),
+        (lambda doc: doc.update(dense=dict(enumerate(doc["dense"]))), "dense must be a list"),
+        (lambda doc: doc["dense"].__setitem__(0, "relu"), "dense[0] must be a mapping"),
+    ], ids=["params-list", "param-not-mapping", "cell-list", "dense-mapping", "layer-string"])
+    def test_wrong_types_named(self, edit, problem):
+        doc = json.loads(nets.save_model(ALL_BUILDERS["final"](0)))
+        edit(doc)
+        with pytest.raises(TypeError, match=re.escape(problem)):
+            nets.load_model(json.dumps(doc))
+
+    def test_checkpoint_not_an_object(self):
+        with pytest.raises(TypeError, match="checkpoint must be a mapping"):
+            nets.load_model("[1, 2]")
 
     @pytest.mark.parametrize("field,key,value", [
         ("cell", "hidden", 5), ("cell", "in", 2), ("dense", "in", 3), ("dense", "out", 2),
