@@ -140,7 +140,7 @@ class TestDensify:
                            match=f"spans {SPAN_LIMIT + 1} frames, above the limit of {SPAN_LIMIT}"):
             densify(log)
 
-    def test_span_at_limit_accepted(self, monkeypatch):
+    def test_span_limit_boundary(self, monkeypatch):
         monkeypatch.setattr(event_log, "SPAN_LIMIT", 4)
         assert len(densify(parse_log(f"{HEADER}\n5,0,0,0,0,0\n8,1,0,0,0,0\n"))) == 4
         with pytest.raises(LogFormatError, match="spans 5 frames"):
