@@ -14,7 +14,7 @@ from .features import FeatureSpec
 from .harness import HarnessConfig
 from .morphology import MorphFilterSpec
 from .passage_metric import extract_intervals, pass_quality
-from .training import select_threshold, sequences_from_series, train
+from .training import DivergenceError, select_threshold, sequences_from_series, train
 
 
 def _read(path, parse):
@@ -101,7 +101,10 @@ def cmd_train(args) -> int:
     model = setting.build(feature_spec.dim, seed=hconfig.train.seed)
     series = list(corpus.values())
     dataset = sequences_from_series(series, feature_spec)
-    model, trace = train(model, dataset, hconfig.train)
+    try:
+        model, trace = train(model, dataset, hconfig.train)
+    except DivergenceError as exc:
+        raise SystemExit(f"{args.config or 'default config'}: training diverged: {exc}") from None
     post = hconfig.morph if setting.use_morph else None
     threshold, train_pq = select_threshold(model, series, feature_spec,
                                            grid_step=hconfig.train.threshold_grid,

@@ -462,48 +462,65 @@ def _dense_backward(model: ModelParams, dY: np.ndarray, caches, masks, grads):
 
 
 def _cell_backward(cell: CellParams, cache: dict, dH: np.ndarray, grads):
+    """Add the cell's parameter gradients, given ``dH`` = d loss / d H.
+
+    Every factor that does not depend on the gradient carried back from step
+    t + 1 is computed for all steps before the loop and written into ``dZ``,
+    the gradient w.r.t. the gate pre-activations: gate k's coefficient of the
+    carried dh (or dc) sits in ``dZ[t, k*h:(k+1)*h]``.  Step t then only
+    scales its row in place and multiplies it by ``u.T``.  The cache must come
+    from a zero initial state.
+    """
     x, A, H = cache["x"], cache["A"], cache["H"]
     T, n = H.shape
     H_prev = np.vstack([np.zeros((1, n)), H[:-1]])
-    dZ = np.zeros_like(A)  # gradient w.r.t. the gate pre-activations
+    dZ = np.zeros_like(A)
+    dZg = dZ.reshape(T, -1, n)  # dZg[t, k] is gate k of step t
+    u_T = cell.u.T
     dh_next = np.zeros(n)
     if cell.kind == "simplernn":
+        np.subtract(1.0, H * H, out=dZ)
         for t in range(T - 1, -1, -1):
-            dh = dH[t] + dh_next
-            dz = dh * (1.0 - H[t] * H[t])
-            dh_next = cell.u.T @ dz
-            dZ[t] = dz
+            dz = dZ[t]
+            dz *= dH[t] + dh_next
+            dh_next = u_T @ dz
     elif cell.kind == "lstm":
         I, F, O, G = (A[:, k * n:(k + 1) * n] for k in range(4))
-        dZi, dZf, dZo, dZg = (dZ[:, k * n:(k + 1) * n] for k in range(4))
         C, TC = cache["C"], cache["TC"]
         C_prev = np.vstack([np.zeros((1, n)), C[:-1]])
+        # the i, f and g gates scale the carried dc; the o gate scales dh by Q
+        dZg[:, 0] = G * I * (1.0 - I)
+        dZg[:, 1] = C_prev * F * (1.0 - F)
+        dZg[:, 3] = I * (1.0 - G * G)
+        Q = TC * O * (1.0 - O)
+        K = O * (1.0 - TC * TC)  # dc = dh * K + dc_next
         dc_next = np.zeros(n)
         for t in range(T - 1, -1, -1):
             dh = dH[t] + dh_next
-            do = dh * TC[t]
-            dZo[t] = do * O[t] * (1.0 - O[t])
-            dc = dh * O[t] * (1.0 - TC[t] * TC[t]) + dc_next
-            df = dc * C_prev[t]
-            dZf[t] = df * F[t] * (1.0 - F[t])
-            di = dc * G[t]
-            dZi[t] = di * I[t] * (1.0 - I[t])
-            dg = dc * I[t]
-            dZg[t] = dg * (1.0 - G[t] * G[t])
+            dc = dh * K[t]
+            dc += dc_next
+            dz = dZg[t]
+            dz *= dc
+            np.multiply(dh, Q[t], out=dz[2])
             dc_next = dc * F[t]
-            dh_next = cell.u.T @ dZ[t]
+            dh_next = u_T @ dZ[t]
     else:
         Z, R, HT = (A[:, k * n:(k + 1) * n] for k in range(3))
-        dZz, dZr, dZh = (dZ[:, k * n:(k + 1) * n] for k in range(3))
-        u_zr_T, u_h_T = cell.u[:2 * n].T, cell.u[2 * n:].T
+        # z and candidate gates scale dh; the r gate scales s = u_h.T @ dZ_h
+        dZg[:, 0] = Z * (1.0 - Z) * (HT - H_prev)
+        dZg[:, 1] = H_prev * R * (1.0 - R)
+        dZg[:, 2] = Z * (1.0 - HT * HT)
+        one_minus_z = 1.0 - Z
+        u_zr_T, u_h_T = u_T[:, :2 * n], u_T[:, 2 * n:]
         for t in range(T - 1, -1, -1):
-            h_prev = H_prev[t]
             dh = dH[t] + dh_next
-            dZz[t] = dh * (HT[t] - h_prev) * Z[t] * (1.0 - Z[t])
-            dZh[t] = da_h = dh * Z[t] * (1.0 - HT[t] * HT[t])
-            s = u_h_T @ da_h
-            dZr[t] = s * h_prev * R[t] * (1.0 - R[t])
-            dh_next = dh * (1.0 - Z[t]) + u_zr_T @ dZ[t, :2 * n] + s * R[t]
+            dz = dZg[t]
+            dz[::2] *= dh
+            s = u_h_T @ dz[2]
+            dz[1] *= s
+            dh_next = dh * one_minus_z[t]
+            dh_next += u_zr_T @ dZ[t, :2 * n]
+            dh_next += s * R[t]
     grads["cell.w"] += dZ.T @ x
     grads["cell.b"] += dZ.sum(axis=0)
     if cell.kind == "gru":

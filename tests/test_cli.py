@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vpd import nets
@@ -118,6 +119,19 @@ class TestBadConfig:
         message = str(exc.value.code)
         assert message.startswith(f"{config}: ") and problem in message
         assert "\n" not in message and not out.exists()
+
+    def test_diverged_run(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["generate", "--n-files", "4", "--seed", "1", "--out", str(data)]) == 0
+        config = tmp_path / "diverge.json"
+        config.write_text(json.dumps({"train": {"epochs": 3, "optimizer": "sgd",
+                                                "learning_rate": 1e200, "clip_norm": None}}))
+        out = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as exc, np.errstate(over="ignore", invalid="ignore"):
+            main(["train", "--config", str(config), "--data", str(data), "--out", str(out)])
+        message = str(exc.value.code)
+        assert message == f"{config}: training diverged: non-finite loss nan at epoch 0"
+        assert not out.exists()
 
     def test_bad_toml(self, workspace, tmp_path):
         config = tmp_path / "bad.toml"

@@ -56,6 +56,60 @@ def cell_step_forward(model, x):
     return dense_in[:, 0]
 
 
+def loop_cell_backward(cell, cache, dH, grads):
+    """Per-step backward through the cell with every gate factor formed inside
+    the loop: the oracle for the hoisted ``nets._cell_backward``."""
+    x, A, H = cache["x"], cache["A"], cache["H"]
+    T, n = H.shape
+    H_prev = np.vstack([np.zeros((1, n)), H[:-1]])
+    dZ = np.zeros_like(A)  # gradient w.r.t. the gate pre-activations
+    dh_next = np.zeros(n)
+    if cell.kind == "simplernn":
+        for t in range(T - 1, -1, -1):
+            dh = dH[t] + dh_next
+            dz = dh * (1.0 - H[t] * H[t])
+            dh_next = cell.u.T @ dz
+            dZ[t] = dz
+    elif cell.kind == "lstm":
+        I, F, O, G = (A[:, k * n:(k + 1) * n] for k in range(4))
+        dZi, dZf, dZo, dZg = (dZ[:, k * n:(k + 1) * n] for k in range(4))
+        C, TC = cache["C"], cache["TC"]
+        C_prev = np.vstack([np.zeros((1, n)), C[:-1]])
+        dc_next = np.zeros(n)
+        for t in range(T - 1, -1, -1):
+            dh = dH[t] + dh_next
+            do = dh * TC[t]
+            dZo[t] = do * O[t] * (1.0 - O[t])
+            dc = dh * O[t] * (1.0 - TC[t] * TC[t]) + dc_next
+            df = dc * C_prev[t]
+            dZf[t] = df * F[t] * (1.0 - F[t])
+            di = dc * G[t]
+            dZi[t] = di * I[t] * (1.0 - I[t])
+            dg = dc * I[t]
+            dZg[t] = dg * (1.0 - G[t] * G[t])
+            dc_next = dc * F[t]
+            dh_next = cell.u.T @ dZ[t]
+    else:
+        Z, R, HT = (A[:, k * n:(k + 1) * n] for k in range(3))
+        dZz, dZr, dZh = (dZ[:, k * n:(k + 1) * n] for k in range(3))
+        u_zr_T, u_h_T = cell.u[:2 * n].T, cell.u[2 * n:].T
+        for t in range(T - 1, -1, -1):
+            h_prev = H_prev[t]
+            dh = dH[t] + dh_next
+            dZz[t] = dh * (HT[t] - h_prev) * Z[t] * (1.0 - Z[t])
+            dZh[t] = da_h = dh * Z[t] * (1.0 - HT[t] * HT[t])
+            s = u_h_T @ da_h
+            dZr[t] = s * h_prev * R[t] * (1.0 - R[t])
+            dh_next = dh * (1.0 - Z[t]) + u_zr_T @ dZ[t, :2 * n] + s * R[t]
+    grads["cell.w"] += dZ.T @ x
+    grads["cell.b"] += dZ.sum(axis=0)
+    if cell.kind == "gru":
+        grads["cell.u"][:2 * n] += dZ[:, :2 * n].T @ H_prev
+        grads["cell.u"][2 * n:] += dZ[:, 2 * n:].T @ cache["RH"]
+    else:
+        grads["cell.u"] += dZ.T @ H_prev
+
+
 ALL_BUILDERS = {
     "lr": lambda seed: nets.init_lr(3, seed=seed),
     "mlp": lambda seed: nets.init_mlp(3, hidden=5, seed=seed),
@@ -346,6 +400,47 @@ class TestBackward:
         model = nets.init_lr(3, seed=0)
         with pytest.raises(ValueError):
             nets.backward(model, np.zeros((4, 3)), np.zeros(3), LossSpec())
+
+
+class TestHoistedBackward:
+    """``nets._cell_backward`` forms every factor off the recurrent path before
+    its loop; the per-step loop ``loop_cell_backward`` is its oracle."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(sorted(ALL_BUILDERS)),
+           st.one_of(st.integers(1, 12), st.just(351)), st.sampled_from(["eval", "train"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_step_loop(self, name, T, mode, seed):
+        rng = np.random.default_rng(seed)
+        model = perturbed(ALL_BUILDERS[name](seed % 5), rng, scale=1.0)
+        if mode == "train":
+            model.dropout_p = 0.4
+        x = rng.normal(size=(T, 3))
+        targets = rng.integers(0, 2, T).astype(float)
+        spec = LossSpec(positive_weight=2.0, negative_weight=0.7, derivative_lambda=0.05)
+        value, grads = nets.backward(model, x, targets, spec, mode=mode, rng=seed)
+        with mock.patch.object(nets, "_cell_backward", loop_cell_backward):
+            expect_value, expect_grads = nets.backward(model, x, targets, spec, mode=mode,
+                                                       rng=seed)
+        assert value == expect_value
+        for key, expect in expect_grads.items():
+            assert np.max(np.abs(grads[key] - expect)) <= 1e-12, key
+
+    @pytest.mark.parametrize("kind", sorted(GATES))
+    @pytest.mark.parametrize("T", [1, 2, 351])
+    def test_cell_gradients_match_per_step_loop(self, kind, T):
+        # the cell alone, with a large dH and no dense stack in front of it
+        rng = np.random.default_rng(T)
+        cell = nets._init_cell(rng, kind, 5, 6)
+        cell.u *= 2.0
+        cache = nets._cell_forward(cell, rng.normal(size=(T, 5)))
+        dH = rng.normal(0.0, 3.0, size=(T, 6))
+        grads, expect = ({f"cell.{p}": np.zeros_like(getattr(cell, p)) for p in "wub"}
+                         for _ in range(2))
+        nets._cell_backward(cell, cache, dH, grads)
+        loop_cell_backward(cell, cache, dH, expect)
+        for key in expect:
+            assert np.max(np.abs(grads[key] - expect[key])) <= 1e-12, key
 
 
 class TestSerialization:
