@@ -13,7 +13,7 @@ from .passage_metric import (Interval, MatchComponent, PQReport,
                              extract_intervals, match_passages,
                              pass_quality, score_signals)
 from .synth import SynthConfig, corpus_stats, generate_corpus, generate_dataset
-from .training import (LossSpec, SplitPlan, TrainConfig, make_splits,
+from .training import (LossSpec, SplitPlan, TrainConfig, fit, make_splits,
                        select_threshold, train, train_test_split)
 
 __version__ = "0.1.0"

@@ -8,13 +8,15 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, nets, synth
 from .event_log import CHANNELS, densify, parse_log, write_log
 from .features import FeatureSpec
 from .harness import HarnessConfig
 from .morphology import MorphFilterSpec
 from .passage_metric import extract_intervals, pass_quality
-from .training import DivergenceError, select_threshold, sequences_from_series, train
+from .training import DivergenceError, fit
 
 
 def _read(path, parse):
@@ -98,17 +100,16 @@ def cmd_train(args) -> int:
     # the family's setting in `vpd compare`
     setting = {s.tag: s for s in harness.default_zoo(hconfig)}[args.model]
     feature_spec = FeatureSpec(channels=hconfig.channels, window=setting.window)
-    model = setting.build(feature_spec.dim, seed=hconfig.train.seed)
     series = list(corpus.values())
-    dataset = sequences_from_series(series, feature_spec)
+    post = hconfig.morph if setting.use_morph else None
     try:
-        model, trace = train(model, dataset, hconfig.train)
+        # a diverging run overflows on its way to the non-finite loss that ends it
+        with np.errstate(over="ignore", invalid="ignore"):
+            model, trace, threshold, train_pq = fit(
+                setting.build(feature_spec.dim, seed=hconfig.train.seed), series,
+                feature_spec, hconfig.train, post)
     except DivergenceError as exc:
         raise SystemExit(f"{args.config or 'default config'}: training diverged: {exc}") from None
-    post = hconfig.morph if setting.use_morph else None
-    threshold, train_pq = select_threshold(model, series, feature_spec,
-                                           grid_step=hconfig.train.threshold_grid,
-                                           post_filter=post)
     extra = {
         "features": feature_spec.to_dict(),
         "threshold": threshold,

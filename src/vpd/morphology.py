@@ -29,13 +29,19 @@ class MorphFilterSpec(DictConfig):
 
     def __post_init__(self):
         if self.open_width < 1 or self.close_width < 1:
-            raise ValueError("filter widths must be >= 1")
+            raise ValueError("filter width must be >= 1, got "
+                             f"open {self.open_width}, close {self.close_width}")
         if self.order not in ("close-then-open", "open-then-close"):
             raise ValueError(f"unknown order {self.order!r}")
 
     def __call__(self, signal: np.ndarray) -> np.ndarray:
-        arr = _check_signal(signal)
-        _, starts, ends = self.on_runs(*_row_runs(arr))
+        arr = np.asarray(signal, dtype=np.uint8)
+        if arr.ndim != 1:
+            raise ValueError("signal must be one-dimensional")
+        if arr.size and arr.max() > 1:
+            raise ValueError("signal must be binary")
+        starts, ends = runs(arr)  # the one signal is row 0 of the run form
+        _, starts, ends = self.on_runs(np.zeros_like(starts), starts, ends)
         return _paint(starts, ends, arr.size)
 
     def on_runs(self, rows: np.ndarray, starts: np.ndarray,
@@ -48,27 +54,6 @@ class MorphFilterSpec(DictConfig):
                               self.open_width)
         return _close_runs(*_open_runs(rows, starts, ends, self.open_width),
                            self.close_width)
-
-
-def _check_signal(signal) -> np.ndarray:
-    arr = np.asarray(signal, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError("signal must be binary")
-    return arr
-
-
-def _check_width(k: int) -> int:
-    if k < 1:
-        raise ValueError(f"structuring element width must be >= 1, got {k}")
-    return int(k)
-
-
-def _row_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The runs of one signal as row 0 of the run form."""
-    starts, ends = runs(arr)
-    return np.zeros(len(starts), dtype=starts.dtype), starts, ends
 
 
 def _open_runs(rows, starts, ends, k: int):
@@ -98,14 +83,9 @@ def _paint(starts: np.ndarray, ends: np.ndarray, length: int) -> np.ndarray:
 
 def opening(signal, k: int) -> np.ndarray:
     """Remove maximal 1-runs shorter than k; runs of length >= k are kept."""
-    arr = _check_signal(signal)
-    _, starts, ends = _open_runs(*_row_runs(arr), _check_width(k))
-    return _paint(starts, ends, arr.size)
+    return MorphFilterSpec(k, 1)(signal)
 
 
 def closing(signal, k: int) -> np.ndarray:
     """Fill interior 0-gaps shorter than k; boundary gaps are left open."""
-    arr = _check_signal(signal)
-    _, starts, ends = _close_runs(*_row_runs(arr), _check_width(k))
-    return _paint(starts, ends, arr.size)
-
+    return MorphFilterSpec(1, k)(signal)

@@ -365,17 +365,17 @@ def _checked_input(model: ModelParams, x: np.ndarray, mode: str, rng):
     return x, _dropout_masks(model, mode, rng)
 
 
-def _forward_full(model: ModelParams, x: np.ndarray, mode: str, rng):
-    """Whole-sequence pass that keeps every cache ``backward`` reads."""
-    x, masks = _checked_input(model, x, mode, rng)
-    cell_cache = _cell_forward(model.cell, x) if model.cell is not None else None
-    A0 = cell_cache["H"] if cell_cache is not None else x
-    out, dense_caches = _dense_forward(model, A0, masks)
-    return out[:, 0], cell_cache, dense_caches, masks
+def _pass(model: ModelParams, x: np.ndarray, masks, state=None):
+    """The cell over ``x`` from ``state`` (zero if None), then the dense stack
+    on its output: ``(outputs (T,), cell cache or None, dense caches)``."""
+    cell_cache = _cell_forward(model.cell, x, state) if model.cell is not None else None
+    out, dense_caches = _dense_forward(model, x if cell_cache is None else cell_cache["H"],
+                                       masks)
+    return out[:, 0], cell_cache, dense_caches
 
 
 #: frames per chunk of ``forward``: above the longest paper-like log (351
-#: frames), so such logs run as one chunk and match ``_forward_full`` bit for bit
+#: frames), so such logs run as one chunk, as in ``backward``, bit for bit
 _CHUNK = 2048
 
 
@@ -394,11 +394,10 @@ def forward(model: ModelParams, x: np.ndarray, mode: str = "eval", rng=None) -> 
     out = np.empty(len(x))
     chunk, state = _CHUNK, None
     for start in range(0, len(x), chunk):
-        a = x[start:start + chunk]
-        if model.cell is not None:
-            cache = _cell_forward(model.cell, a, state)
-            a, state = cache["H"], cache["state"]
-        out[start:start + chunk] = _dense_forward(model, a, masks)[0][:, 0]
+        out[start:start + chunk], cache = _pass(model, x[start:start + chunk], masks, state)[:2]
+        if cache is not None:
+            state = cache["state"]
+            del cache  # so that the next chunk's caches replace these, not join them
     return out
 
 
@@ -538,8 +537,11 @@ def backward(model: ModelParams, x: np.ndarray, targets: np.ndarray, loss_spec,
     With ``mode='train'`` the dropout masks are drawn once and shared by the
     forward pass and the gradients (gradients are exact for the sampled masks).
     """
+    x, masks = _checked_input(model, x, mode, rng)
+    if not len(x):
+        raise ValueError("empty sequence: backward needs at least one frame")
     targets = np.asarray(targets, dtype=np.float64)
-    y, cell_cache, dense_caches, masks = _forward_full(model, x, mode, rng)
+    y, cell_cache, dense_caches = _pass(model, x, masks)
     if targets.shape != y.shape:
         raise ValueError(f"targets shape {targets.shape} != outputs {y.shape}")
     value = loss_value(y, targets, loss_spec)

@@ -208,7 +208,7 @@ def sweep_thresholds(pairs: Iterable[tuple[np.ndarray, np.ndarray]], grid_step: 
                      post_filter: MorphFilterSpec | None = None
                      ) -> tuple[list[float], list[float]]:
     """The grid {step, 2*step, ...} below 1 and the corpus PQ at each of its
-    points, for per-file (reference, output probabilities) pairs.
+    points, for per-file (reference, output probabilities) pairs, at least one.
 
     Each file is decided at every threshold in one ``(thresholds, frames)``
     comparison, the same ``probs >= threshold`` as ``nets.decide``; its runs
@@ -222,7 +222,8 @@ def sweep_thresholds(pairs: Iterable[tuple[np.ndarray, np.ndarray]], grid_step: 
     thresholds = np.array(grid)[:, None]
     r = np.zeros(len(grid), dtype=np.int64)
     sum_err = np.zeros(len(grid), dtype=np.int64)
-    for ref, probs in pairs:
+    n_files = 0
+    for n_files, (ref, probs) in enumerate(pairs, 1):
         probs = np.asarray(probs)
         if probs.shape != np.shape(ref):
             raise ValueError(f"length mismatch: ref {np.shape(ref)} vs probs {probs.shape}")
@@ -232,7 +233,22 @@ def sweep_thresholds(pairs: Iterable[tuple[np.ndarray, np.ndarray]], grid_step: 
         file_r, file_err = component_totals(runs(ref), det, len(grid))
         r += file_r
         sum_err += file_err
+    if not n_files:
+        raise ValueError("empty training set: no files to sweep")
     return grid, [pq_from_totals(int(a), int(b)) for a, b in zip(r, sum_err)]
+
+
+def _pick_threshold(model: nets.ModelParams, pairs: Iterable[tuple[np.ndarray, np.ndarray]],
+                    grid_step: float, post_filter: MorphFilterSpec | None) -> tuple[float, float]:
+    """The grid point of maximal corpus PQ (ties go to the smallest threshold)
+    and that PQ, for (inputs, reference) pairs that are run one at a time."""
+    if post_filter is not None and not isinstance(post_filter, MorphFilterSpec):
+        raise TypeError("post_filter must be a MorphFilterSpec or None, "
+                        f"got {type(post_filter).__name__}")
+    grid, curve = sweep_thresholds(((ref, nets.forward(model, x)) for x, ref in pairs),
+                                   grid_step, post_filter)
+    best = curve.index(max(curve))
+    return grid[best], curve[best]
 
 
 def select_threshold(model: nets.ModelParams,
@@ -244,13 +260,16 @@ def select_threshold(model: nets.ModelParams,
     maximizer (ties go to the smallest threshold), with its training PQ.
     ``post_filter`` is a ``MorphFilterSpec`` or None; ``series_list`` may not
     be empty."""
-    if post_filter is not None and not isinstance(post_filter, MorphFilterSpec):
-        raise TypeError("post_filter must be a MorphFilterSpec or None, "
-                        f"got {type(post_filter).__name__}")
-    if not series_list:
-        raise ValueError("empty training set")
-    grid, curve = sweep_thresholds(
-        ((s.channel("ref_pass"), nets.forward(model, window_expand(s, feature_spec)))
-         for s in series_list), grid_step, post_filter)
-    best = curve.index(max(curve))
-    return grid[best], curve[best]
+    return _pick_threshold(model, ((window_expand(s, feature_spec), s.channel("ref_pass"))
+                                   for s in series_list), grid_step, post_filter)
+
+
+def fit(model: nets.ModelParams, series_list: list[FrameSeries], feature_spec: FeatureSpec,
+        config: TrainConfig, post_filter: MorphFilterSpec | None = None
+        ) -> tuple[nets.ModelParams, list[float], float, float]:
+    """``train``, then ``select_threshold`` on ``config.threshold_grid``, on one
+    expansion of each file: (trained model, per-epoch losses, threshold, its
+    training PQ)."""
+    dataset = sequences_from_series(series_list, feature_spec)
+    model, losses = train(model, dataset, config)
+    return model, losses, *_pick_threshold(model, dataset, config.threshold_grid, post_filter)

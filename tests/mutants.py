@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 NETS = "tests/test_nets.py"
 HOISTED = f"{NETS}::TestHoistedBackward"
 STREAMED = f"{NETS}::TestStreamedForward"
+TRAINING = "tests/test_training.py"
 
 MUTANTS = [
     # the hoisted recurrent backward pass
@@ -62,22 +63,33 @@ MUTANTS = [
            (f"{NETS}::TestBackward::test_finite_difference",)),
     # the streamed forward pass
     Mutant("c reset at every chunk boundary, only h carried", "nets.py",
-           'a, state = cache["H"], cache["state"]',
-           'a, state = cache["H"], cache["state"]\n'
+           '            state = cache["state"]\n',
+           '            state = cache["state"]\n'
            '            if model.cell.kind == "lstm":\n'
-           '                state = (state[0], np.zeros_like(state[1]))',
+           '                state = (state[0], np.zeros_like(state[1]))\n',
            (STREAMED,)),
     Mutant("no state carried across chunks", "nets.py",
-           'a, state = cache["H"], cache["state"]', 'a, state = cache["H"], None',
+           'state = cache["state"]', "state = None",
            (STREAMED,)),
     Mutant("dropout masks redrawn per chunk", "nets.py",
-           "out[start:start + chunk] = _dense_forward(model, a, masks)[0][:, 0]",
-           "out[start:start + chunk] = _dense_forward(\n"
-           "            model, a, _dropout_masks(model, mode, rng))[0][:, 0]",
+           "_pass(model, x[start:start + chunk], masks, state)",
+           "_pass(model, x[start:start + chunk], _dropout_masks(model, mode, rng), state)",
            (STREAMED,)),
+    Mutant("backward lets an empty sequence through", "nets.py",
+           "    if not len(x):\n", "    if False:\n",
+           (f"{NETS}::TestBackward",)),
     Mutant("legacy per-gate checkpoints stacked in reverse gate order", "nets.py",
            'for g in GATES[kind]])', "for g in GATES[kind][::-1]])",
            (f"{NETS}::TestLegacyCheckpoint",)),
+    # fit: train, then the threshold sweep on the same inputs
+    Mutant("fit sweeps without the post filter", "training.py",
+           "_pick_threshold(model, dataset, config.threshold_grid, post_filter)",
+           "_pick_threshold(model, dataset, config.threshold_grid, None)",
+           (f"{TRAINING}::TestFit",)),
+    Mutant("fit sweeps the untrained model", "training.py",
+           "    model, losses = train(model, dataset, config)\n",
+           "    losses = train(model, dataset, config)[1]\n",
+           (f"{TRAINING}::TestFit",)),
     # decisions, runs, morphology and the passage metric
     Mutant("'>' for '>=' in decide", "nets.py",
            "pred = (np.asarray(probs) >= threshold)", "pred = (np.asarray(probs) > threshold)",
@@ -98,6 +110,9 @@ MUTANTS = [
     Mutant("closing gap rule off by one", "morphology.py",
            "starts[1:] - ends[:-1] - 1 >= k", "starts[1:] - ends[:-1] - 1 > k",
            ("tests/test_morphology.py::TestRunForm", "tests/test_morphology.py::TestOpenClose")),
+    Mutant("opening built as a closing", "morphology.py",
+           "return MorphFilterSpec(k, 1)(signal)", "return MorphFilterSpec(1, k)(signal)",
+           ("tests/test_morphology.py::TestOpenClose",)),
     Mutant("closing merges runs across rows", "morphology.py",
            "(rows[1:] != rows[:-1]) | (starts[1:]", "(starts[1:]",
            ("tests/test_morphology.py::TestRunForm",)),
@@ -126,6 +141,9 @@ MUTANTS = [
     Mutant("a diverged vpd train run ends in a traceback", "cli.py",
            "    except DivergenceError as exc:", "    except ZeroDivisionError as exc:",
            ("tests/test_cli.py::TestBadConfig::test_diverged_run",)),
+    Mutant("a diverged vpd train run prints numpy's overflow warnings", "cli.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():",
+           ("tests/test_cli.py::TestBadConfig::test_diverged_run_prints_one_line",)),
 ]
 
 

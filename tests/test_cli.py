@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vpd
 from vpd import nets
 from vpd.cli import load_corpus, main
 from vpd.event_log import SPAN_LIMIT
 from vpd.features import FeatureSpec
 from vpd.training import LossSpec, TrainConfig
+
+SRC = Path(vpd.__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -120,17 +127,36 @@ class TestBadConfig:
         assert message.startswith(f"{config}: ") and problem in message
         assert "\n" not in message and not out.exists()
 
-    def test_diverged_run(self, tmp_path):
+    @pytest.fixture
+    def diverging(self, tmp_path):
+        """``vpd train`` arguments of a run whose loss is NaN in its first epoch."""
         data = tmp_path / "data"
         assert main(["generate", "--n-files", "4", "--seed", "1", "--out", str(data)]) == 0
         config = tmp_path / "diverge.json"
         config.write_text(json.dumps({"train": {"epochs": 3, "optimizer": "sgd",
                                                 "learning_rate": 1e200, "clip_norm": None}}))
         out = tmp_path / "model.json"
+        return config, ["train", "--config", str(config), "--data", str(data),
+                        "--out", str(out)], out
+
+    def test_diverged_run(self, diverging):
+        config, argv, out = diverging
         with pytest.raises(SystemExit) as exc, np.errstate(over="ignore", invalid="ignore"):
-            main(["train", "--config", str(config), "--data", str(data), "--out", str(out)])
+            main(argv)
         message = str(exc.value.code)
         assert message == f"{config}: training diverged: non-finite loss nan at epoch 0"
+        assert not out.exists()
+
+    def test_diverged_run_prints_one_line(self, diverging, capfd):
+        # a separate process, so that numpy's warnings reach stderr unfiltered
+        config, argv, out = diverging
+        capfd.readouterr()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        code = subprocess.run([sys.executable, "-m", "vpd.cli", *argv], env=env,
+                              timeout=120).returncode
+        assert (code, capfd.readouterr().err) == (
+            1, f"{config}: training diverged: non-finite loss nan at epoch 0\n")
         assert not out.exists()
 
     def test_bad_toml(self, workspace, tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vpd import harness, nets
+from vpd import harness, nets, training
 from vpd.event_log import FrameSeries, densify
 from vpd.features import FeatureSpec, window_expand
 from vpd.harness import (HarnessConfig, ModelSetting, channel_subsets,
@@ -194,11 +194,27 @@ class TestModelComparison:
                                 "agg_r", "agg_sum_err", "plan_hash"}
 
 
+class TestTrainingInputs:
+    def test_each_training_file_expanded_once(self, monkeypatch):
+        # the threshold sweep reuses the inputs that training ran on
+        calls = []
+        real = training.window_expand
+        monkeypatch.setattr(training, "window_expand",
+                            lambda s, spec: calls.append(s) or real(s, spec))
+        corpus = load_series(noiseless_preset(n_files=4, seed=7))
+        config = HarnessConfig(train=TrainConfig(epochs=1, threshold_grid=0.1),
+                               test_fraction=0.25)
+        [res] = run_model_comparison(corpus, config, [ModelSetting("lr", window=1)])
+        train_files = harness._make_plan(corpus, config).train_files(1)
+        assert res.error is None and len(train_files) == 3
+        assert sorted(map(id, calls)) == sorted(id(corpus[f]) for f in train_files)
+
+
 class TestDivergence:
     def test_partial_run_gets_no_pq(self, monkeypatch):
         # the second repeat diverges after the first one has been scored
         calls = []
-        real_train = harness.train
+        real_train = training.train
 
         def train_then_diverge(model, dataset, config):
             calls.append(config.seed)
@@ -206,7 +222,7 @@ class TestDivergence:
                 raise DivergenceError(3, float("nan"))
             return real_train(model, dataset, config)
 
-        monkeypatch.setattr(harness, "train", train_then_diverge)
+        monkeypatch.setattr(training, "train", train_then_diverge)
         corpus = load_series(noiseless_preset(n_files=4, seed=7))
         config = HarnessConfig(train=TrainConfig(epochs=1, threshold_grid=0.1),
                                test_fraction=0.25, repeats=2)

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -246,8 +247,8 @@ class TestForward:
 
 class TestStreamedForward:
     """``forward`` runs ``nets._CHUNK`` frames at a time with the recurrent state
-    carried across chunks; ``_forward_full``, the whole-sequence pass that
-    ``backward`` uses, is its oracle."""
+    carried across chunks; ``_pass`` run once on the whole sequence, as
+    ``backward`` runs it, is its oracle."""
 
     @settings(deadline=None, max_examples=200)
     @given(st.sampled_from(sorted(ALL_BUILDERS)), st.integers(0, 70),
@@ -263,7 +264,8 @@ class TestStreamedForward:
         # Generators, not seeds: masks redrawn per chunk would then differ
         with mock.patch.object(nets, "_CHUNK", chunk):
             y = forward(model, x, mode=mode, rng=np.random.default_rng(seed))
-        expect = nets._forward_full(model, x, mode, np.random.default_rng(seed))[0]
+        masks = nets._dropout_masks(model, mode, np.random.default_rng(seed))
+        expect = nets._pass(model, x, masks)[0]
         if chunk >= T:
             assert np.array_equal(y, expect)
         else:
@@ -289,7 +291,7 @@ class TestStreamedForward:
         finally:
             tracemalloc.stop()
         # float64 caches per frame: gate rows, H, C and tanh(C), each dense layer's
-        # Z and output; the previous chunk's live until the next chunk's replace them
+        # Z and output, for at most two chunks at once
         per_frame = 8 * (4 * h + 3 * h + 2 * d + 2 * 1)
         assert peak <= 3 * y.nbytes + 2 * nets._CHUNK * per_frame
 
@@ -340,6 +342,15 @@ class TestBackward:
         assert value == pytest.approx(0.25)
         assert grads["dense0.bias"][0] == pytest.approx(0.25)
         assert np.allclose(grads["dense0.weights"], 0.25 * x)
+
+    @pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
+    def test_empty_sequence(self, name):
+        # named before the loss divides by the zero total weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty sequence"):
+                nets.backward(ALL_BUILDERS[name](0), np.zeros((0, 3)), np.zeros(0),
+                              LossSpec())
 
     def test_zero_lambda_equals_plain_mse_gradient(self):
         rng = np.random.default_rng(7)

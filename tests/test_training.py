@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpd import nets
-from vpd.event_log import FrameSeries
+from vpd.event_log import FrameSeries, densify
 from vpd.features import FeatureSpec
 from vpd.morphology import MorphFilterSpec
 from vpd.passage_metric import score_signals
-from vpd.training import (DivergenceError, LossSpec, TrainConfig, make_splits,
+from vpd.synth import generate_corpus, paper_like_preset
+from vpd.training import (DivergenceError, LossSpec, TrainConfig, fit, make_splits,
                           select_threshold, sequences_from_series, sweep_thresholds,
                           train, train_test_split)
 
@@ -162,6 +163,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(nets.init_lr(3), [], TrainConfig())
 
+    def test_empty_sequence(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            train(nets.init_lstm(3, seed=0), [(np.zeros((0, 3)), np.zeros(0))],
+                  TrainConfig(epochs=1))
+
 
 class TestSplits:
     def test_even_folds(self):
@@ -288,6 +294,30 @@ class TestSelectThreshold:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             sweep_thresholds([(np.zeros(3), np.zeros(4))], 0.1)
+
+
+class TestFit:
+    """``fit`` is ``train`` on the expanded files, then ``select_threshold`` on
+    the same files."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return [densify(log) for log in generate_corpus(paper_like_preset(n_files=5, seed=3))]
+
+    @pytest.mark.parametrize("model, spec, post_filter", [
+        (nets.init_final(3, seed=2), FeatureSpec(), MorphFilterSpec()),
+        (nets.init_lr(FeatureSpec(window=8).dim, seed=2), FeatureSpec(window=8), None),
+    ], ids=["final-morph", "lr-window8"])
+    def test_equals_train_then_select_threshold(self, series, model, spec, post_filter):
+        config = TrainConfig(epochs=2, seed=5)
+        trained, losses = train(model, sequences_from_series(series, spec), config)
+        threshold, pq = select_threshold(trained, series, spec, config.threshold_grid,
+                                         post_filter=post_filter)
+        fitted, fit_losses, fit_threshold, fit_pq = fit(model, series, spec, config,
+                                                        post_filter)
+        assert np.array_equal(nets.get_flat(fitted), nets.get_flat(trained))
+        assert fit_losses == losses
+        assert (repr(fit_threshold), repr(fit_pq)) == (repr(threshold), repr(pq))
 
 
 class TestConfigSerialization:
