@@ -14,6 +14,6 @@ from .passage_metric import (Interval, MatchComponent, PQReport,
                              pass_quality, score_signals)
 from .synth import SynthConfig, corpus_stats, generate_corpus, generate_dataset
 from .training import (LossSpec, SplitPlan, TrainConfig, fit, make_splits,
-                       select_threshold, train, train_test_split)
+                       select_threshold, sequences_from_series, train, train_test_split)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from .features import FeatureSpec
 from .harness import HarnessConfig
 from .morphology import MorphFilterSpec
 from .passage_metric import extract_intervals, pass_quality
-from .training import DivergenceError, fit
+from .training import DivergenceError, fit, sequences_from_series
 
 
 def _read(path, parse):
@@ -100,14 +100,14 @@ def cmd_train(args) -> int:
     # the family's setting in `vpd compare`
     setting = {s.tag: s for s in harness.default_zoo(hconfig)}[args.model]
     feature_spec = FeatureSpec(channels=hconfig.channels, window=setting.window)
-    series = list(corpus.values())
+    dataset = sequences_from_series(list(corpus.values()), feature_spec)
     post = hconfig.morph if setting.use_morph else None
     try:
         # a diverging run overflows on its way to the non-finite loss that ends it
         with np.errstate(over="ignore", invalid="ignore"):
             model, trace, threshold, train_pq = fit(
-                setting.build(feature_spec.dim, seed=hconfig.train.seed), series,
-                feature_spec, hconfig.train, post)
+                setting.build(feature_spec.dim, seed=hconfig.train.seed), dataset,
+                hconfig.train, post)
     except DivergenceError as exc:
         raise SystemExit(f"{args.config or 'default config'}: training diverged: {exc}") from None
     extra = {
@@ -119,7 +119,7 @@ def cmd_train(args) -> int:
         "final_train_loss": trace[-1],
     }
     Path(args.out).write_text(nets.save_model(model, extra=extra))
-    print(f"trained {args.model} on {len(series)} files: "
+    print(f"trained {args.model} on {len(dataset)} files: "
           f"final loss {trace[-1]:.5f}, threshold {threshold:.2f}, train PQ {train_pq:.4f}")
     return 0
 

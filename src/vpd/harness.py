@@ -21,7 +21,7 @@ from .features import FeatureSpec, window_expand
 from .morphology import MorphFilterSpec
 from .passage_metric import PQReport, score_signals
 from .training import (DivergenceError, SplitPlan, TrainConfig, fit, make_splits,
-                       train_test_split)
+                       sequences_from_series, train_test_split)
 
 MODEL_TAGS = ("basic", "lr", "mlp", "simplernn", "lstm", "gru", "final")
 
@@ -210,11 +210,12 @@ def _run_one(corpus, plan, config: HarnessConfig, setting: ModelSetting,
                 reports.append(score_prediction_channel(test_series))
                 thresholds.append(0.5)
                 continue
+            dataset = sequences_from_series(train_series, feature_spec)
             for repeat in range(config.repeats):
                 seed = _model_seed(config.train.seed, setting.tag, fold, repeat)
                 model, _, threshold, _ = fit(setting.build(feature_spec.dim, seed=seed),
-                                             train_series, feature_spec,
-                                             replace(config.train, seed=seed), post_filter)
+                                             dataset, replace(config.train, seed=seed),
+                                             post_filter)
                 reports.append(evaluate_model(model, threshold, test_series,
                                               feature_spec, post_filter))
                 thresholds.append(threshold)

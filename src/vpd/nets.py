@@ -15,16 +15,25 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 VARIANTS = ("lr", "mlp", "simplernn", "lstm", "gru", "final")
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu", "identity")
 
 
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid as 1/2 + tanh(z/2)/2: it cannot overflow and raises no
+    floating-point warning.  ``out`` may be ``z`` itself."""
+    s = np.multiply(z, 0.5, out=out)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "sigmoid":
-        return expit(z)
+        return _sigmoid(z)
     if name == "tanh":
         return np.tanh(z)
     if name == "relu":
@@ -256,7 +265,7 @@ def cell_step(cell: CellParams, x: np.ndarray, state):
     if cell.kind == "lstm":
         h, c = (np.asarray(s, dtype=np.float64) for s in state)
         a = zx + cell.u @ h
-        i, f, o = expit(a[:n]), expit(a[n:2 * n]), expit(a[2 * n:3 * n])
+        i, f, o = _sigmoid(a[:n]), _sigmoid(a[n:2 * n]), _sigmoid(a[2 * n:3 * n])
         g = np.tanh(a[3 * n:])
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
@@ -265,7 +274,7 @@ def cell_step(cell: CellParams, x: np.ndarray, state):
     if cell.kind == "simplernn":
         h_new = np.tanh(zx + cell.u @ h)
         return h_new, h_new
-    zr = expit(zx[:2 * n] + cell.u[:2 * n] @ h)
+    zr = _sigmoid(zx[:2 * n] + cell.u[:2 * n] @ h)
     z, r = zr[:n], zr[n:]
     h_tilde = np.tanh(zx[2 * n:] + cell.u[2 * n:] @ (r * h))
     h_new = (1.0 - z) * h + z * h_tilde
@@ -291,55 +300,58 @@ def _cell_forward(cell: CellParams, x: np.ndarray, state=None) -> dict:
     """Run the cell over the sequence from ``state`` (zero if None), keeping
     per-step caches; ``cache["state"]`` is the state after the last step.
 
-    ``A`` (T, G*h) holds the gate pre-activations ``x @ w.T + b``; step t adds
-    its recurrent term to row t and overwrites it with the gate activations,
-    so the backward pass reads gate k of step t from ``A[t, k*h:(k+1)*h]``.
-    The backward pass assumes a zero initial state.
+    ``A`` (T, G*h) starts as ``x @ w.T + b`` with the sigmoid gates' rows of
+    ``w``, ``u`` and ``b`` halved, which is exact.  Step t adds its recurrent
+    term to row t, takes its ``tanh`` and maps the sigmoid gates by
+    ``s*0.5 + 0.5`` (``_sigmoid``, bit for bit), so the backward pass (which
+    assumes a zero initial state) reads gate k of step t from ``A[t, k*h:(k+1)*h]``.
     """
-    T = x.shape[0]
-    n = cell.hidden
-    A = x @ cell.w.T
-    A += cell.b
+    T, n = x.shape[0], cell.hidden
+    m = {"lstm": 3, "gru": 2}.get(cell.kind, 0) * n  # rows of the leading sigmoid gates
+    half = np.where(np.arange(len(cell.b)) < m, 0.5, 1.0)
+    w, u, b = cell.w * half[:, None], cell.u * half[:, None], cell.b * half
+    A = x @ w.T
+    A += b
     cache = {"x": x, "A": A}
-    if state is None:
-        state = cell.zero_state()
+    state = cell.zero_state() if state is None else state
+    uh, prod = np.empty(len(b)), np.empty(n)  # one step's recurrent term and a product
     if cell.kind == "simplernn":
         h = state
-        for t in range(T):
-            a = A[t]
-            a += cell.u @ h
-            h = np.tanh(a, out=a)
-        cache.update(H=A, state=h)
+        for a in A:
+            a += np.dot(u, h, uh)
+            h = np.tanh(a, a)
+        cache.update(H=A, state=h.copy())
     elif cell.kind == "lstm":
-        H, C, TC = (np.zeros((T, n)) for _ in range(3))
+        H, C, TC = (np.empty((T, n)) for _ in range(3))
+        I, F, O, G = (A[:, k * n:(k + 1) * n] for k in range(4))
         h, c = state
-        for t in range(T):
-            a = A[t]
-            a += cell.u @ h
-            expit(a[:3 * n], out=a[:3 * n])
-            np.tanh(a[3 * n:], out=a[3 * n:])
-            i, f, o, g = a[:n], a[n:2 * n], a[2 * n:3 * n], a[3 * n:]
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            C[t], TC[t], H[t] = c, tc, h
-        cache.update(H=H, C=C, TC=TC, state=(h, c))
+        for a, s, i, f, o, g, c_t, tc, h_t in zip(A, A[:, :m], I, F, O, G, C, TC, H):
+            a += np.dot(u, h, uh)
+            np.tanh(a, a)
+            s *= 0.5
+            s += 0.5
+            c = np.multiply(f, c, c_t)
+            c += np.multiply(i, g, prod)
+            np.tanh(c, tc)
+            h = np.multiply(o, tc, h_t)
+        cache.update(H=H, C=C, TC=TC, state=(h.copy(), c.copy()))
     else:
-        H = np.zeros((T, n))
-        RH = np.zeros((T, n))  # r * h_prev, reused by the backward pass
-        u_zr, u_h = cell.u[:2 * n], cell.u[2 * n:]
+        H, RH = np.empty((T, n)), np.empty((T, n))  # RH: r * h_prev, for the backward pass
+        Z, R, HT = (A[:, k * n:(k + 1) * n] for k in range(3))
+        (u_zr, u_h), (uh_zr, uh_h) = np.split(u, [m]), np.split(uh, [m])
         h = state
-        for t in range(T):
-            a = A[t]
-            zr, ht = a[:2 * n], a[2 * n:]
-            zr += u_zr @ h
-            expit(zr, out=zr)
-            rh = zr[n:] * h
-            ht += u_h @ rh
-            np.tanh(ht, out=ht)
-            h = (1.0 - zr[:n]) * h + zr[:n] * ht
-            RH[t], H[t] = rh, h
-        cache.update(H=H, RH=RH, state=h)
+        for zr, z, r, ht, rh, h_t in zip(A[:, :m], Z, R, HT, RH, H):
+            zr += np.dot(u_zr, h, uh_zr)
+            np.tanh(zr, zr)
+            zr *= 0.5
+            zr += 0.5
+            ht += np.dot(u_h, np.multiply(r, h, rh), uh_h)
+            np.tanh(ht, ht)
+            np.subtract(1.0, z, h_t)
+            h_t *= h
+            h_t += np.multiply(z, ht, prod)
+            h = h_t
+        cache.update(H=H, RH=RH, state=h.copy())
     return cache
 
 
@@ -466,23 +478,22 @@ def _cell_backward(cell: CellParams, cache: dict, dH: np.ndarray, grads):
     Every factor that does not depend on the gradient carried back from step
     t + 1 is computed for all steps before the loop and written into ``dZ``,
     the gradient w.r.t. the gate pre-activations: gate k's coefficient of the
-    carried dh (or dc) sits in ``dZ[t, k*h:(k+1)*h]``.  Step t then only
-    scales its row in place and multiplies it by ``u.T``.  The cache must come
-    from a zero initial state.
-    """
+    carried dh (or dc) sits in ``dZ[t, k*h:(k+1)*h]``.  The loop walks reversed
+    row views and scales step t's row in place.  The cache must come from a
+    zero initial state."""
     x, A, H = cache["x"], cache["A"], cache["H"]
     T, n = H.shape
     H_prev = np.vstack([np.zeros((1, n)), H[:-1]])
     dZ = np.zeros_like(A)
     dZg = dZ.reshape(T, -1, n)  # dZg[t, k] is gate k of step t
     u_T = cell.u.T
-    dh_next = np.zeros(n)
+    dh, dc, s, buf = np.empty((4, n))  # one step's vectors
+    dh_next, dc_next = np.zeros((2, n))
     if cell.kind == "simplernn":
         np.subtract(1.0, H * H, out=dZ)
-        for t in range(T - 1, -1, -1):
-            dz = dZ[t]
-            dz *= dH[t] + dh_next
-            dh_next = u_T @ dz
+        for dz, dh_t in zip(dZ[::-1], dH[::-1]):
+            dz *= np.add(dh_t, dh_next, dh)
+            np.dot(u_T, dz, dh_next)
     elif cell.kind == "lstm":
         I, F, O, G = (A[:, k * n:(k + 1) * n] for k in range(4))
         C, TC = cache["C"], cache["TC"]
@@ -493,16 +504,15 @@ def _cell_backward(cell: CellParams, cache: dict, dH: np.ndarray, grads):
         dZg[:, 3] = I * (1.0 - G * G)
         Q = TC * O * (1.0 - O)
         K = O * (1.0 - TC * TC)  # dc = dh * K + dc_next
-        dc_next = np.zeros(n)
-        for t in range(T - 1, -1, -1):
-            dh = dH[t] + dh_next
-            dc = dh * K[t]
+        for dh_t, k, q, f, dz, dz_o, dz_row in zip(dH[::-1], K[::-1], Q[::-1], F[::-1],
+                                                  dZg[::-1], dZg[::-1, 2], dZ[::-1]):
+            np.add(dh_t, dh_next, dh)
+            np.multiply(dh, k, dc)
             dc += dc_next
-            dz = dZg[t]
             dz *= dc
-            np.multiply(dh, Q[t], out=dz[2])
-            dc_next = dc * F[t]
-            dh_next = u_T @ dZ[t]
+            np.multiply(dh, q, dz_o)
+            np.multiply(dc, f, dc_next)
+            np.dot(u_T, dz_row, dh_next)
     else:
         Z, R, HT = (A[:, k * n:(k + 1) * n] for k in range(3))
         # z and candidate gates scale dh; the r gate scales s = u_h.T @ dZ_h
@@ -511,15 +521,15 @@ def _cell_backward(cell: CellParams, cache: dict, dH: np.ndarray, grads):
         dZg[:, 2] = Z * (1.0 - HT * HT)
         one_minus_z = 1.0 - Z
         u_zr_T, u_h_T = u_T[:, :2 * n], u_T[:, 2 * n:]
-        for t in range(T - 1, -1, -1):
-            dh = dH[t] + dh_next
-            dz = dZg[t]
-            dz[::2] *= dh
-            s = u_h_T @ dz[2]
-            dz[1] *= s
-            dh_next = dh * one_minus_z[t]
-            dh_next += u_zr_T @ dZ[t, :2 * n]
-            dh_next += s * R[t]
+        for dh_t, dz_zh, dz_r, dz_h, dz_zr, omz, r in zip(
+                dH[::-1], dZg[::-1, ::2], dZg[::-1, 1], dZg[::-1, 2], dZ[::-1, :2 * n],
+                one_minus_z[::-1], R[::-1]):
+            np.add(dh_t, dh_next, dh)
+            dz_zh *= dh
+            dz_r *= np.dot(u_h_T, dz_h, s)
+            np.multiply(dh, omz, dh_next)
+            dh_next += np.dot(u_zr_T, dz_zr, buf)
+            dh_next += np.multiply(s, r, buf)
     grads["cell.w"] += dZ.T @ x
     grads["cell.b"] += dZ.sum(axis=0)
     if cell.kind == "gru":

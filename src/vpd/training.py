@@ -264,12 +264,11 @@ def select_threshold(model: nets.ModelParams,
                                    for s in series_list), grid_step, post_filter)
 
 
-def fit(model: nets.ModelParams, series_list: list[FrameSeries], feature_spec: FeatureSpec,
+def fit(model: nets.ModelParams, dataset: list[tuple[np.ndarray, np.ndarray]],
         config: TrainConfig, post_filter: MorphFilterSpec | None = None
         ) -> tuple[nets.ModelParams, list[float], float, float]:
-    """``train``, then ``select_threshold`` on ``config.threshold_grid``, on one
-    expansion of each file: (trained model, per-epoch losses, threshold, its
-    training PQ)."""
-    dataset = sequences_from_series(series_list, feature_spec)
+    """``train`` on the (inputs, targets) pairs of ``sequences_from_series``,
+    then the threshold sweep on ``config.threshold_grid`` over the same pairs:
+    (trained model, per-epoch losses, threshold, its training PQ)."""
     model, losses = train(model, dataset, config)
     return model, losses, *_pick_threshold(model, dataset, config.threshold_grid, post_filter)

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 NETS = "tests/test_nets.py"
 HOISTED = f"{NETS}::TestHoistedBackward"
 STREAMED = f"{NETS}::TestStreamedForward"
+TIGHT = f"{NETS}::TestTightenedLoops"
 TRAINING = "tests/test_training.py"
 
 MUTANTS = [
@@ -51,8 +52,8 @@ MUTANTS = [
     Mutant("lstm backward takes C in place of C_prev", "nets.py",
            "dZg[:, 1] = C_prev * F * (1.0 - F)", "dZg[:, 1] = C * F * (1.0 - F)",
            (HOISTED, f"{NETS}::TestBackward")),
-    Mutant("gru backward drops the s * R[t] term", "nets.py",
-           "            dh_next += s * R[t]\n", "",
+    Mutant("gru backward drops the s * r term", "nets.py",
+           "            dh_next += np.multiply(s, r, buf)\n", "",
            (HOISTED, f"{NETS}::TestBackward")),
     Mutant("one gradient scaled by (1 + 1e-15)", "nets.py",
            'grads["cell.b"] += dZ.sum(axis=0)', 'grads["cell.b"] += dZ.sum(axis=0) * (1 + 1e-15)',
@@ -61,6 +62,26 @@ MUTANTS = [
            'grads["cell.u"][2 * n:] += dZ[:, 2 * n:].T @ cache["RH"]',
            'grads["cell.u"][2 * n:] += dZ[:, 2 * n:].T @ H_prev',
            (f"{NETS}::TestBackward::test_finite_difference",)),
+    # the tightened step loops and the tanh-form sigmoid
+    Mutant("lstm sigmoid gate rows not scaled by 1/2", "nets.py",
+           "half = np.where(np.arange(len(cell.b)) < m, 0.5, 1.0)",
+           'half = np.where(np.arange(len(cell.b)) < (0 if cell.kind == "lstm" else m), 0.5, 1.0)',
+           (TIGHT, f"{NETS}::TestCellStep")),
+    Mutant("lstm forward writes its c cache one row late", "nets.py",
+           "zip(A, A[:, :m], I, F, O, G, C, TC, H)", "zip(A, A[:, :m], I, F, O, G, C[1:], TC, H)",
+           (TIGHT,)),
+    Mutant("lstm backward walks K forward in time", "nets.py",
+           "zip(dH[::-1], K[::-1], Q[::-1]", "zip(dH[::-1], K, Q[::-1]",
+           (TIGHT, f"{NETS}::TestBackward")),
+    Mutant("simplernn backward walks dH forward in time", "nets.py",
+           "zip(dZ[::-1], dH[::-1])", "zip(dZ[::-1], dH)",
+           (TIGHT, f"{NETS}::TestBackward")),
+    Mutant("gru forward leaves its sigmoid gates at tanh(z/2) / 2", "nets.py",
+           "            zr += 0.5\n", "",
+           (TIGHT, f"{NETS}::TestCellStep")),
+    Mutant("_sigmoid without the final + 1/2", "nets.py",
+           "    s += 0.5\n    return s\n", "    return s\n",
+           (f"{NETS}::TestSigmoid",)),
     # the streamed forward pass
     Mutant("c reset at every chunk boundary, only h carried", "nets.py",
            '            state = cache["state"]\n',

@@ -209,6 +209,21 @@ class TestTrainingInputs:
         assert res.error is None and len(train_files) == 3
         assert sorted(map(id, calls)) == sorted(id(corpus[f]) for f in train_files)
 
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_training_files_expanded_once_per_fold(self, monkeypatch, repeats):
+        # the repeats of a fold share one expansion of its training files
+        calls = []
+        real = training.window_expand
+        monkeypatch.setattr(training, "window_expand",
+                            lambda s, spec: calls.append(s) or real(s, spec))
+        corpus = load_series(noiseless_preset(n_files=8, seed=7))
+        config = HarnessConfig(train=TrainConfig(epochs=1, threshold_grid=0.1),
+                               test_fraction=0.25, repeats=repeats)
+        [res] = run_model_comparison(corpus, config, [ModelSetting("lr", window=1)])
+        train_files = harness._make_plan(corpus, config).train_files(1)
+        assert res.error is None and len(res.fold_reports) == repeats
+        assert len(train_files) == 6 and len(calls) == 6
+
 
 class TestDivergence:
     def test_partial_run_gets_no_pq(self, monkeypatch):

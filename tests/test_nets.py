@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -55,6 +58,118 @@ def cell_step_forward(model, x):
     for layer in model.dense:
         dense_in = nets._act(layer.activation, dense_in @ layer.weights.T + layer.bias)
     return dense_in[:, 0]
+
+
+def loop_cell_forward(cell, x, state=None):
+    """Per-step cell loop that slices each step's gates out of ``A[t]`` and
+    calls ``nets._sigmoid`` on them: the oracle for the tightened
+    ``nets._cell_forward``."""
+    T = x.shape[0]
+    n = cell.hidden
+    A = x @ cell.w.T
+    A += cell.b
+    cache = {"x": x, "A": A}
+    if state is None:
+        state = cell.zero_state()
+    if cell.kind == "simplernn":
+        h = state
+        for t in range(T):
+            a = A[t]
+            a += cell.u @ h
+            h = np.tanh(a, out=a)
+        cache.update(H=A, state=h)
+    elif cell.kind == "lstm":
+        H, C, TC = (np.zeros((T, n)) for _ in range(3))
+        h, c = state
+        for t in range(T):
+            a = A[t]
+            a += cell.u @ h
+            nets._sigmoid(a[:3 * n], out=a[:3 * n])
+            np.tanh(a[3 * n:], out=a[3 * n:])
+            i, f, o, g = a[:n], a[n:2 * n], a[2 * n:3 * n], a[3 * n:]
+            c = f * c + i * g
+            tc = np.tanh(c)
+            h = o * tc
+            C[t], TC[t], H[t] = c, tc, h
+        cache.update(H=H, C=C, TC=TC, state=(h, c))
+    else:
+        H = np.zeros((T, n))
+        RH = np.zeros((T, n))
+        u_zr, u_h = cell.u[:2 * n], cell.u[2 * n:]
+        h = state
+        for t in range(T):
+            a = A[t]
+            zr, ht = a[:2 * n], a[2 * n:]
+            zr += u_zr @ h
+            nets._sigmoid(zr, out=zr)
+            rh = zr[n:] * h
+            ht += u_h @ rh
+            np.tanh(ht, out=ht)
+            h = (1.0 - zr[:n]) * h + zr[:n] * ht
+            RH[t], H[t] = rh, h
+        cache.update(H=H, RH=RH, state=h)
+    return cache
+
+
+def hoisted_cell_backward(cell, cache, dH, grads):
+    """Backward pass with the gate factors hoisted before a loop that indexes
+    its arrays by t and allocates each step's vectors: the oracle for the
+    tightened ``nets._cell_backward``."""
+    x, A, H = cache["x"], cache["A"], cache["H"]
+    T, n = H.shape
+    H_prev = np.vstack([np.zeros((1, n)), H[:-1]])
+    dZ = np.zeros_like(A)
+    dZg = dZ.reshape(T, -1, n)
+    u_T = cell.u.T
+    dh_next = np.zeros(n)
+    if cell.kind == "simplernn":
+        np.subtract(1.0, H * H, out=dZ)
+        for t in range(T - 1, -1, -1):
+            dz = dZ[t]
+            dz *= dH[t] + dh_next
+            dh_next = u_T @ dz
+    elif cell.kind == "lstm":
+        I, F, O, G = (A[:, k * n:(k + 1) * n] for k in range(4))
+        C, TC = cache["C"], cache["TC"]
+        C_prev = np.vstack([np.zeros((1, n)), C[:-1]])
+        dZg[:, 0] = G * I * (1.0 - I)
+        dZg[:, 1] = C_prev * F * (1.0 - F)
+        dZg[:, 3] = I * (1.0 - G * G)
+        Q = TC * O * (1.0 - O)
+        K = O * (1.0 - TC * TC)
+        dc_next = np.zeros(n)
+        for t in range(T - 1, -1, -1):
+            dh = dH[t] + dh_next
+            dc = dh * K[t]
+            dc += dc_next
+            dz = dZg[t]
+            dz *= dc
+            np.multiply(dh, Q[t], out=dz[2])
+            dc_next = dc * F[t]
+            dh_next = u_T @ dZ[t]
+    else:
+        Z, R, HT = (A[:, k * n:(k + 1) * n] for k in range(3))
+        dZg[:, 0] = Z * (1.0 - Z) * (HT - H_prev)
+        dZg[:, 1] = H_prev * R * (1.0 - R)
+        dZg[:, 2] = Z * (1.0 - HT * HT)
+        one_minus_z = 1.0 - Z
+        u_zr_T, u_h_T = u_T[:, :2 * n], u_T[:, 2 * n:]
+        for t in range(T - 1, -1, -1):
+            dh = dH[t] + dh_next
+            dz = dZg[t]
+            dz[::2] *= dh
+            s = u_h_T @ dz[2]
+            dz[1] *= s
+            dh_next = dh * one_minus_z[t]
+            dh_next += u_zr_T @ dZ[t, :2 * n]
+            dh_next += s * R[t]
+    grads["cell.w"] += dZ.T @ x
+    grads["cell.b"] += dZ.sum(axis=0)
+    if cell.kind == "gru":
+        grads["cell.u"][:2 * n] += dZ[:, :2 * n].T @ H_prev
+        grads["cell.u"][2 * n:] += dZ[:, 2 * n:].T @ cache["RH"]
+    else:
+        grads["cell.u"] += dZ.T @ H_prev
 
 
 def loop_cell_backward(cell, cache, dH, grads):
@@ -452,6 +567,74 @@ class TestHoistedBackward:
         loop_cell_backward(cell, cache, dH, expect)
         for key in expect:
             assert np.max(np.abs(grads[key] - expect[key])) <= 1e-12, key
+
+
+class TestTightenedLoops:
+    """The zipped, buffered step loops of ``nets._cell_forward`` and
+    ``nets._cell_backward`` against the per-step forward loop
+    ``loop_cell_forward`` and the indexed ``hoisted_cell_backward``, bit for
+    bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(sorted(GATES)),
+           st.one_of(st.just(1), st.integers(2, 40), st.just(nets._CHUNK + 1)),
+           st.booleans(), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_match_oracles_bit_for_bit(self, kind, T, carried, hidden, seed):
+        rng = np.random.default_rng(seed)
+        cell = nets._init_cell(rng, kind, 3, hidden)
+        for p in (cell.w, cell.u, cell.b):
+            p += rng.normal(0.0, 1.0, p.shape)
+        x = rng.normal(size=(T, 3))
+        state = None
+        if carried:
+            state = rng.normal(size=(2, hidden) if kind == "lstm" else hidden)
+            state = tuple(state) if kind == "lstm" else state
+        before = np.array(state if carried else 0.0)
+        got = nets._cell_forward(cell, x, state)
+        expect = loop_cell_forward(cell, x, state)
+        assert got.keys() == expect.keys()
+        for key in expect:
+            assert np.array_equal(np.asarray(got[key]), np.asarray(expect[key])), key
+        assert np.array_equal(np.array(state if carried else 0.0), before)  # read, not written
+        dH = rng.normal(0.0, 3.0, size=(T, hidden))
+        grads, expect_grads = ({f"cell.{p}": np.zeros_like(getattr(cell, p)) for p in "wub"}
+                               for _ in range(2))
+        nets._cell_backward(cell, got, dH, grads)
+        hoisted_cell_backward(cell, expect, dH, expect_grads)
+        for key in expect_grads:
+            assert np.array_equal(grads[key], expect_grads[key]), key
+
+
+class TestSigmoid:
+    """``nets._sigmoid`` = 1/2 + tanh(z/2)/2 against scipy's ``expit``."""
+
+    GRID = np.linspace(-800.0, 800.0, 16001)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.floats(0.1, 100.0), st.integers(0, 2 ** 32 - 1))
+    def test_within_two_ulp_of_expit(self, scale, seed):
+        z = np.concatenate([self.GRID, np.random.default_rng(seed).normal(0.0, scale, 4000)])
+        assert np.max(np.abs(nets._sigmoid(z) - expit(z))) <= 2.3e-16
+
+    def test_exact_at_zero_and_far_out(self):
+        assert nets._sigmoid(np.array([0.0, -800.0, 800.0])).tolist() == [0.5, 0.0, 1.0]
+
+    def test_raises_no_floating_point_error(self):
+        with np.errstate(all="raise"):
+            nets._sigmoid(np.concatenate([self.GRID, [-1e308, 1e308]]))
+
+    def test_in_place(self):
+        z = np.concatenate([self.GRID, np.random.default_rng(0).normal(0.0, 5.0, 1000)])
+        expect = nets._sigmoid(z)
+        assert nets._sigmoid(z, out=z) is z
+        assert np.array_equal(z, expect)
+
+    def test_vpd_runs_without_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = 'import vpd, vpd.cli, sys; print("scipy" in sys.modules)'
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSerialization:

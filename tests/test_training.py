@@ -297,8 +297,8 @@ class TestSelectThreshold:
 
 
 class TestFit:
-    """``fit`` is ``train`` on the expanded files, then ``select_threshold`` on
-    the same files."""
+    """``fit`` is ``train`` on the pairs of ``sequences_from_series``, then
+    ``select_threshold`` on the files they came from."""
 
     @pytest.fixture(scope="class")
     def series(self):
@@ -313,8 +313,8 @@ class TestFit:
         trained, losses = train(model, sequences_from_series(series, spec), config)
         threshold, pq = select_threshold(trained, series, spec, config.threshold_grid,
                                          post_filter=post_filter)
-        fitted, fit_losses, fit_threshold, fit_pq = fit(model, series, spec, config,
-                                                        post_filter)
+        fitted, fit_losses, fit_threshold, fit_pq = fit(
+            model, sequences_from_series(series, spec), config, post_filter)
         assert np.array_equal(nets.get_flat(fitted), nets.get_flat(trained))
         assert fit_losses == losses
         assert (repr(fit_threshold), repr(fit_pq)) == (repr(threshold), repr(pq))
