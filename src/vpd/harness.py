@@ -165,11 +165,16 @@ def evaluate_model(model: nets.ModelParams, threshold: float,
                    series_list: list[FrameSeries], feature_spec: FeatureSpec,
                    post_filter: MorphFilterSpec | None = None) -> PQReport:
     """Corpus-aggregated PQ of thresholded (optionally filtered) predictions."""
+    return _score_inputs(model, threshold, ((s.channel("ref_pass"), window_expand(s, feature_spec))
+                                            for s in series_list), post_filter)
+
+
+def _score_inputs(model: nets.ModelParams, threshold: float, pairs,
+                  post_filter: MorphFilterSpec | None) -> PQReport:
+    """``evaluate_model`` on (reference, model inputs) pairs, which may be lazy."""
     nets.check_threshold(threshold)  # before any forward pass
-    return score_signals(
-        (s.channel("ref_pass"),
-         nets.decide(nets.forward(model, window_expand(s, feature_spec)), threshold, post_filter))
-        for s in series_list)
+    return score_signals((ref, nets.decide(nets.forward(model, x), threshold, post_filter))
+                         for ref, x in pairs)
 
 
 def score_prediction_channel(series_list: list[FrameSeries],
@@ -211,13 +216,14 @@ def _run_one(corpus, plan, config: HarnessConfig, setting: ModelSetting,
                 thresholds.append(0.5)
                 continue
             dataset = sequences_from_series(train_series, feature_spec)
+            test_inputs = [(s.channel("ref_pass"), window_expand(s, feature_spec))
+                           for s in test_series]
             for repeat in range(config.repeats):
                 seed = _model_seed(config.train.seed, setting.tag, fold, repeat)
                 model, _, threshold, _ = fit(setting.build(feature_spec.dim, seed=seed),
                                              dataset, replace(config.train, seed=seed),
                                              post_filter)
-                reports.append(evaluate_model(model, threshold, test_series,
-                                              feature_spec, post_filter))
+                reports.append(_score_inputs(model, threshold, test_inputs, post_filter))
                 thresholds.append(threshold)
     except DivergenceError as exc:
         error = str(exc)

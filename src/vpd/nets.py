@@ -7,10 +7,16 @@ MLP baseline are the cell-free special cases.  ``backward`` runs full
 backpropagation through time over the sequence; gradients are exact for the
 weighted-MSE-plus-derivative-penalty loss and are validated against central
 finite differences in the test suite.
+
+``forward`` runs a long input's chunks as lanes of one batched recurrence
+and corrects them until they merge with the sequential pass (multiple
+shooting, with a bit-equality test in place of a Newton step), so its outputs
+are those of the sequential pass, bit for bit, with no option to set.
 """
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -296,6 +302,14 @@ def _dropout_masks(model: ModelParams, mode: str, rng) -> list[np.ndarray | None
     return [(gen.random(layer.in_dim) < keep).astype(np.float64) for layer in model.dense]
 
 
+def _halved(cell: CellParams):
+    """``w``, ``u`` and ``b`` with the sigmoid gates' rows halved, which is
+    exact, and the number ``m`` of those rows, which lead the gate stack."""
+    m = {"lstm": 3, "gru": 2}.get(cell.kind, 0) * cell.hidden
+    half = np.where(np.arange(len(cell.b)) < m, 0.5, 1.0)
+    return cell.w * half[:, None], cell.u * half[:, None], cell.b * half, m
+
+
 def _cell_forward(cell: CellParams, x: np.ndarray, state=None) -> dict:
     """Run the cell over the sequence from ``state`` (zero if None), keeping
     per-step caches; ``cache["state"]`` is the state after the last step.
@@ -307,9 +321,7 @@ def _cell_forward(cell: CellParams, x: np.ndarray, state=None) -> dict:
     assumes a zero initial state) reads gate k of step t from ``A[t, k*h:(k+1)*h]``.
     """
     T, n = x.shape[0], cell.hidden
-    m = {"lstm": 3, "gru": 2}.get(cell.kind, 0) * n  # rows of the leading sigmoid gates
-    half = np.where(np.arange(len(cell.b)) < m, 0.5, 1.0)
-    w, u, b = cell.w * half[:, None], cell.u * half[:, None], cell.b * half
+    w, u, b, m = _halved(cell)
     A = x @ w.T
     A += b
     cache = {"x": x, "A": A}
@@ -355,6 +367,68 @@ def _cell_forward(cell: CellParams, x: np.ndarray, state=None) -> dict:
     return cache
 
 
+def _lane_slab(kind: str, u: np.ndarray, m: int, A: np.ndarray, H: np.ndarray,
+               s: np.ndarray) -> None:
+    """Step b independent lanes of a cell through one slab of S steps.
+
+    ``A`` (S, b, G*h) holds each step's input term with the sigmoid gates'
+    rows halved and ``u`` is the halved recurrent matrix, as in
+    ``_cell_forward``; step t writes the lanes' h into ``H[t]``.  ``s``
+    (b, 1 or 2, h) holds each lane's h (and the LSTM's c) and is updated in
+    place.  The recurrent term is the per-lane ``np.matmul(u, h[:, :, None])``,
+    which gives the bits of ``_cell_forward``'s ``np.dot(u, h)``; the GEMM
+    ``h @ u.T`` does not.  Every elementwise step is that of ``_cell_forward``:
+    the LSTM maps its whole gate row by ``* scale + offset``, which is
+    ``* 0.5 + 0.5`` on the sigmoid rows and leaves the candidate's bits as
+    they are (``z * 1.0`` and ``z + -0.0`` are ``z``, signed zeros too).
+    """
+    _, b, n = H.shape
+    cols = zip(itertools.chain([s[:, 0, :, None]], H[:, :, :, None]), H)  # h_{t-1} as columns, h_t
+    prod = np.empty((b, n))
+    if kind == "simplernn":
+        uh = np.empty((b, n, 1))
+        for a, (h_col, h_t) in zip(A, cols):
+            np.matmul(u, h_col, uh)
+            a += uh[:, :, 0]
+            np.tanh(a, h_t)
+    elif kind == "lstm":
+        c, uh, tc = s[:, 1].copy(), np.empty((b, 4 * n, 1)), np.empty((b, n))
+        uh_row = uh[:, :, 0]
+        sig = np.arange(4 * n) < m
+        scale, offset = np.where(sig, 0.5, 1.0), np.where(sig, 0.5, -0.0)
+        I, F, O, G = (A[:, :, k * n:(k + 1) * n] for k in range(4))
+        for a, i, f, o, g, (h_col, h_t) in zip(A, I, F, O, G, cols):
+            np.matmul(u, h_col, uh)
+            a += uh_row
+            np.tanh(a, a)
+            a *= scale
+            a += offset
+            c *= f
+            c += np.multiply(i, g, prod)
+            np.tanh(c, tc)
+            np.multiply(o, tc, h_t)
+        s[:, 1] = c
+    else:
+        Z, R, HT = (A[:, :, k * n:(k + 1) * n] for k in range(3))
+        u_zr, u_h = np.split(u, [m])
+        uh_zr, uh_h, rh = np.empty((b, m, 1)), np.empty((b, n, 1)), np.empty((b, n, 1))
+        for zr, z, r, ht, (h_col, h_t) in zip(A[:, :, :m], Z, R, HT, cols):
+            np.matmul(u_zr, h_col, uh_zr)
+            zr += uh_zr[:, :, 0]
+            np.tanh(zr, zr)
+            zr *= 0.5
+            zr += 0.5
+            h = h_col[:, :, 0]
+            np.multiply(r, h, rh[:, :, 0])
+            np.matmul(u_h, rh, uh_h)
+            ht += uh_h[:, :, 0]
+            np.tanh(ht, ht)
+            np.subtract(1.0, z, h_t)
+            h_t *= h
+            h_t += np.multiply(z, ht, prod)
+    s[:, 0] = H[-1]
+
+
 def _dense_forward(model: ModelParams, A: np.ndarray, masks) -> tuple[np.ndarray, list]:
     keep = 1.0 - model.dropout_p
     caches = []
@@ -389,6 +463,84 @@ def _pass(model: ModelParams, x: np.ndarray, masks, state=None):
 #: frames per chunk of ``forward``: above the longest paper-like log (351
 #: frames), so such logs run as one chunk, as in ``backward``, bit for bit
 _CHUNK = 2048
+#: steps per slab of the lanes: a divisor of ``_CHUNK`` and a multiple of 4, so
+#: that BLAS computes each row of a slab's products as it does in a chunk's
+_SLAB = 64
+#: fewest frames per lane, and most lanes per super-chunk
+_LANE_MIN, _LANES = 1024, 16
+#: most frames per super-chunk: a multiple of ``_CHUNK``
+_SUPER = 2 ** 16
+#: correction passes, and steps a lane may run in one without merging, before
+#: the rest of the input runs sequentially
+_PASSES, _MERGE_STEPS = 3, 1024
+
+
+def _lane_state(e: np.ndarray, kind: str):
+    """A slab-end state (1 or 2, h) of the lanes as ``_cell_forward`` takes it."""
+    return (e[0].copy(), e[1].copy()) if kind == "lstm" else e[0].copy()
+
+
+def _lane_pass(model, x, masks, out, lanes, first, s, ends, check):
+    """One pass of ``lanes`` (from state ``s``) over their slabs of ``x``.
+
+    Each slab's outputs go into ``out`` and its end state into ``ends``.  With
+    ``check``, a lane stops at the first slab end where its state equals the
+    stored one bit for bit, since from there on it would repeat the stored
+    run.  Returns whether each lane merged, or None once a lane has run
+    ``_MERGE_STEPS`` steps without merging."""
+    cell, S = model.cell, _SLAB
+    w, u, b, m = _halved(cell)
+    merged = np.zeros(len(first) - 1, bool)
+    for j in itertools.count():
+        if not len(lanes):
+            return merged
+        if check and j * S >= _MERGE_STEPS:
+            return None
+        g = first[lanes] + j  # the lanes' slabs
+        idx = (g * S + np.arange(S)[:, None]).ravel()  # their frames, step-major
+        A = x[idx] @ w.T
+        A += b
+        H = np.empty((S, len(lanes), cell.hidden))
+        _lane_slab(cell.kind, u, m, A.reshape(S, len(lanes), -1), H, s)
+        y = _dense_forward(model, H.reshape(len(idx), -1), masks)[0][:, 0]
+        # compared as int64 so that bits decide: 0.0 and -0.0 differ, a NaN meets itself
+        same = check & (s.view(np.int64) == ends[g].view(np.int64)).all(axis=(1, 2))
+        out[idx] = y
+        ends[g] = s
+        merged[lanes[same]] = True
+        keep = ~same & (g + 1 < first[lanes + 1])
+        lanes, s = lanes[keep], s[keep]
+
+
+def _shoot(model: ModelParams, x: np.ndarray, masks, out: np.ndarray, state, B: int):
+    """Run ``x`` (a whole number of slabs) as B lanes and correct them until
+    every lane's outputs in ``out`` are those of the sequential pass from
+    ``state``, bit for bit.  Returns the frames done and the state after them.
+
+    Pass 1 runs lane 0 from ``state`` and the others from zero.  Each later
+    pass reruns the lanes from the first unproven one, each from its
+    predecessor's latest end state; the first of them is then exact, and so
+    is each following lane whose predecessor merged.  After ``_PASSES``
+    passes, or when a pass aborts, the first unproven lane is where the
+    sequential pass takes over."""
+    cell = model.cell
+    slabs, lanes = len(x) // _SLAB, np.arange(B + 1)
+    first = lanes * (slabs // B) + np.minimum(lanes, slabs % B)  # each lane's first slab
+    ends = np.empty((slabs, 2 if cell.kind == "lstm" else 1, cell.hidden))
+    s = np.zeros((B,) + ends.shape[1:])
+    if state is not None:
+        s[0] = state
+    k = 0  # lanes before k are exact
+    for p in range(_PASSES + 1):
+        if p:
+            s = ends[first[k:B] - 1]
+        merged = _lane_pass(model, x, masks, out, lanes[k:B], first, s, ends, p > 0)
+        if merged is None:
+            break
+        k = next((i + 1 for i in range(k, B) if not merged[i]), B)
+        if k == B:
+            return len(x), _lane_state(ends[-1], cell.kind)
+    return first[k] * _SLAB, _lane_state(ends[first[k] - 1], cell.kind)
 
 
 def forward(model: ModelParams, x: np.ndarray, mode: str = "eval", rng=None) -> np.ndarray:
@@ -401,15 +553,35 @@ def forward(model: ModelParams, x: np.ndarray, mode: str = "eval", rng=None) -> 
     The sequence runs in chunks of ``_CHUNK`` frames with the recurrent state
     carried from one chunk into the next, so the result is the whole-sequence
     one and memory beyond ``x`` and the output is O(chunk), not O(T).
+
+    A long input's whole chunks run first, in super-chunks of up to ``_SUPER``
+    frames, each as up to ``_LANES`` lanes of one batched recurrence (multiple
+    shooting): lanes that start from a wrong state are rerun until their state
+    equals the stored one bit for bit.  A forgetting cell merges within a few
+    hundred steps; one that does not falls back to the sequential pass.  Either
+    way the outputs are bit for bit those of the sequential pass.
     """
     x, masks = _checked_input(model, x, mode, rng)
     out = np.empty(len(x))
-    chunk, state = _CHUNK, None
-    for start in range(0, len(x), chunk):
-        out[start:start + chunk], cache = _pass(model, x[start:start + chunk], masks, state)[:2]
+    start, state = 0, None
+    whole = len(x) - len(x) % _CHUNK
+    while model.cell is not None and start < whole:
+        size = min(whole - start, _SUPER)
+        B = min(_LANES, size // _LANE_MIN)
+        if B < 2:
+            break
+        done, state = _shoot(model, x[start:start + size], masks, out[start:start + size],
+                             state, B)
+        start += done
+        if done < size:
+            break
+    while start < len(x):
+        stop = min(start - start % _CHUNK + _CHUNK, len(x))
+        out[start:stop], cache = _pass(model, x[start:stop], masks, state)[:2]
         if cache is not None:
             state = cache["state"]
             del cache  # so that the next chunk's caches replace these, not join them
+        start = stop
     return out
 
 

@@ -5,7 +5,8 @@ three epochs on a fixed 20-file paper-like corpus (the c7 recipe, scaled
 down) and returns what a "same numbers" change must keep: the selected
 thresholds, training and test PQ as ``repr`` strings, the per-epoch training
 losses, the sha256 of each saved checkpoint, and the sha256 of a multi-chunk
-``forward`` on a long input.  ``tests/test_golden.py`` recomputes it and
+``forward`` on a long input and of a 2·10⁴-frame ``forward`` of each
+recurrent cell kind.  ``tests/test_golden.py`` recomputes it and
 compares with ``tests/data/golden.json``.
 
 Run from the repository root to rewrite the file after a change that moves a
@@ -35,6 +36,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden.json"
 
 #: frames of the long ``forward`` input: several ``nets._CHUNK`` chunks and a tail
 LONG_FRAMES = 5000
+
+#: frames of the per-cell ``forward`` inputs: long enough to run as lanes
+CELL_FRAMES = 20_000
 
 
 def platform_info() -> dict:
@@ -76,11 +80,16 @@ def compute() -> dict:
     lr = nets.init_lr(lr_spec.dim, seed=0)
 
     x = np.random.default_rng(0).random((LONG_FRAMES, spec.dim))
+    x_cell = np.random.default_rng(1).random((CELL_FRAMES, spec.dim))
+    cells = {kind: nets.forward(getattr(nets, f"init_{kind}")(spec.dim, hidden=16, seed=0),
+                                x_cell)
+             for kind in ("lstm", "gru", "simplernn")}
     return {
         "final": _run(final, spec, train_series, test_series, final_cfg, MorphFilterSpec()),
         "lr": _run(lr, lr_spec, train_series, test_series, TrainConfig(epochs=3, seed=0),
                    None),
         "long_forward_sha256": _sha256(nets.forward(final, x).tobytes()),
+        "cell_forward_sha256": {kind: _sha256(y.tobytes()) for kind, y in cells.items()},
     }
 
 

@@ -42,6 +42,7 @@ NETS = "tests/test_nets.py"
 HOISTED = f"{NETS}::TestHoistedBackward"
 STREAMED = f"{NETS}::TestStreamedForward"
 TIGHT = f"{NETS}::TestTightenedLoops"
+SHOOT = f"{NETS}::TestShootingForward"
 TRAINING = "tests/test_training.py"
 
 MUTANTS = [
@@ -77,7 +78,7 @@ MUTANTS = [
            "zip(dZ[::-1], dH[::-1])", "zip(dZ[::-1], dH)",
            (TIGHT, f"{NETS}::TestBackward")),
     Mutant("gru forward leaves its sigmoid gates at tanh(z/2) / 2", "nets.py",
-           "            zr += 0.5\n", "",
+           "            zr += 0.5\n            ht += np.dot(", "            ht += np.dot(",
            (TIGHT, f"{NETS}::TestCellStep")),
     Mutant("_sigmoid without the final + 1/2", "nets.py",
            "    s += 0.5\n    return s\n", "    return s\n",
@@ -93,9 +94,32 @@ MUTANTS = [
            'state = cache["state"]', "state = None",
            (STREAMED,)),
     Mutant("dropout masks redrawn per chunk", "nets.py",
-           "_pass(model, x[start:start + chunk], masks, state)",
-           "_pass(model, x[start:start + chunk], _dropout_masks(model, mode, rng), state)",
+           "_pass(model, x[start:stop], masks, state)",
+           "_pass(model, x[start:stop], _dropout_masks(model, mode, rng), state)",
            (STREAMED,)),
+    # the lanes of the shooting forward pass
+    Mutant("lstm merge test compares h only", "nets.py",
+           "same = check & (s.view(np.int64) == ends[g].view(np.int64)).all(axis=(1, 2))",
+           "same = check & (s[:, 0].view(np.int64) == ends[g][:, 0].view(np.int64)).all(axis=1)",
+           (SHOOT,)),
+    Mutant("a correction pass starts each lane from its own end state", "nets.py",
+           "s = ends[first[k:B] - 1]", "s = ends[first[k + 1:B + 1] - 1]",
+           (SHOOT,)),
+    Mutant("a merged lane's corrected outputs stop one slab short", "nets.py",
+           "        out[idx] = y\n", "        out[idx] = np.where(np.tile(same, S), out[idx], y)\n",
+           (SHOOT,)),
+    Mutant("gru lanes leave their sigmoid gates at tanh(z/2) / 2", "nets.py",
+           "            zr += 0.5\n            h = h_col", "            h = h_col",
+           (SHOOT,)),
+    Mutant("lstm lanes take the candidate gate through the sigmoid too", "nets.py",
+           "np.where(sig, 0.5, 1.0), np.where(sig, 0.5, -0.0)", "0.5, 0.5",
+           (SHOOT,)),
+    Mutant("lane 0 starts from zero, not the carried state", "nets.py",
+           "    if state is not None:\n        s[0] = state\n", "",
+           (SHOOT,)),
+    Mutant("the next pass skips the lane after the first unmerged one", "nets.py",
+           "k = next((i + 1 for i in range(k, B)", "k = next((i + 2 for i in range(k, B)",
+           (SHOOT,)),
     Mutant("backward lets an empty sequence through", "nets.py",
            "    if not len(x):\n", "    if False:\n",
            (f"{NETS}::TestBackward",)),

@@ -45,3 +45,9 @@ def test_losses(golden, figures, model):
 def test_long_forward(golden, figures):
     assert figures["long_forward_sha256"] == golden["figures"]["long_forward_sha256"], \
         _context(golden)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru", "simplernn"])
+def test_cell_forward(golden, figures, kind):
+    assert (figures["cell_forward_sha256"][kind]
+            == golden["figures"]["cell_forward_sha256"][kind]), _context(golden)

@@ -225,6 +225,22 @@ class TestTrainingInputs:
         assert len(train_files) == 6 and len(calls) == 6
 
 
+    def test_held_out_files_expanded_once_per_fold(self, monkeypatch):
+        # every repeat's model is scored on one expansion of the held-out files
+        calls = []
+        real = harness.window_expand
+        monkeypatch.setattr(harness, "window_expand",
+                            lambda s, spec: calls.append(s) or real(s, spec))
+        corpus = load_series(noiseless_preset(n_files=8, seed=7))
+        config = HarnessConfig(train=TrainConfig(epochs=1, threshold_grid=0.1),
+                               test_fraction=0.25, repeats=3)
+        [res] = run_model_comparison(corpus, config, [ModelSetting("lr", window=1)])
+        test_files = harness._make_plan(corpus, config).fold_files(1)
+        assert res.error is None and len(res.fold_reports) == 3
+        assert sorted(map(id, calls)) == sorted(id(corpus[f]) for f in test_files)
+        assert len(calls) == 2
+
+
 class TestDivergence:
     def test_partial_run_gets_no_pq(self, monkeypatch):
         # the second repeat diverges after the first one has been scored

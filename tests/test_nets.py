@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -409,6 +410,181 @@ class TestStreamedForward:
         # Z and output, for at most two chunks at once
         per_frame = 8 * (4 * h + 3 * h + 2 * d + 2 * 1)
         assert peak <= 3 * y.nbytes + 2 * nets._CHUNK * per_frame
+
+
+def sequential_pass(model, x, masks, state=None):
+    """``_pass`` over ``nets._CHUNK``-frame chunks from ``state``, as the
+    sequential ``forward`` runs them: (outputs, state after ``x``)."""
+    out = np.empty(len(x))
+    for start in range(0, len(x), nets._CHUNK):
+        out[start:start + nets._CHUNK], cache = nets._pass(
+            model, x[start:start + nets._CHUNK], masks, state)[:2]
+        state = cache["state"]
+    return out, state
+
+
+def lane_constants(slab, chunk_slabs, lane_slabs, lanes, super_chunks, merge_slabs, passes):
+    """Patches of the private lane constants of ``nets``, small enough that a
+    few dozen frames run as several lanes and super-chunks."""
+    chunk = slab * chunk_slabs
+    return [mock.patch.object(nets, name, value) for name, value in (
+        ("_SLAB", slab), ("_CHUNK", chunk), ("_LANE_MIN", slab * lane_slabs),
+        ("_LANES", lanes), ("_SUPER", chunk * super_chunks),
+        ("_MERGE_STEPS", slab * merge_slabs), ("_PASSES", passes))]
+
+
+def patched(patches, fn, *args, **kwargs):
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        return fn(*args, **kwargs)
+
+
+def lane_model(kind, hidden, seed, mode, forgetting):
+    """A perturbed model; a ``forgetting`` one has a small ``u`` and gates set
+    to forget, so that lanes started from different states merge within a
+    few steps."""
+    rng = np.random.default_rng(seed)
+    if kind == "final":
+        model = nets.init_final(3, lstm_units=hidden, dense_units=3,
+                                dropout_p=0.4 if mode == "train" else 0.0, seed=seed % 7)
+    else:
+        model = getattr(nets, f"init_{kind}")(3, hidden=hidden, seed=seed % 7)
+    model = perturbed(model, rng, scale=rng.choice([0.2, 1.0]))
+    if forgetting:
+        model.cell.u *= 0.05
+        gate = {"lstm": slice(hidden, 2 * hidden), "gru": slice(0, hidden)}.get(model.cell.kind)
+        if gate is not None:  # the LSTM's forget gate near 0, the GRU's update gate near 1
+            model.cell.b[gate] += -4.0 if model.cell.kind == "lstm" else 4.0
+    return model
+
+
+LANE_DRAWS = (st.sampled_from([4, 8]), st.integers(1, 3), st.integers(1, 3),
+              st.integers(2, 5), st.integers(1, 4), st.sampled_from([1, 2, 256]),
+              st.integers(1, 3))
+
+
+class TestShootingForward:
+    """Long inputs run as lanes of one batched recurrence, corrected until they
+    merge (``nets._shoot``).  The oracle is the same ``forward`` with the lane
+    threshold out of reach, which runs every chunk sequentially; the outputs
+    must be bit for bit the same."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(["simplernn", "lstm", "gru", "final"]), st.integers(1, 9),
+           st.sampled_from(["eval", "train"]), st.booleans(), st.integers(1, 200),
+           st.tuples(*LANE_DRAWS), st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_sequential(self, kind, hidden, mode, forgetting, T, consts, seed):
+        model = lane_model(kind, hidden, seed, mode, forgetting)
+        x = np.random.default_rng(seed).normal(size=(T, 3))
+        patches = lane_constants(*consts)
+        run = lambda: forward(model, x, mode=mode, rng=seed)  # noqa: E731
+        y = patched(patches, run)
+        expect = patched(patches + [mock.patch.object(nets, "_LANE_MIN", 10 ** 9)], run)
+        assert np.array_equal(y, expect)
+        if mode == "eval":
+            assert np.max(np.abs(y - cell_step_forward(model, x)), initial=0.0) <= 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from(["simplernn", "lstm", "gru", "final"]), st.integers(1, 9),
+           st.sampled_from(["eval", "train"]), st.booleans(), st.integers(2, 12),
+           st.integers(2, 5), st.tuples(*LANE_DRAWS), st.integers(0, 2 ** 32 - 1))
+    def test_carried_state(self, kind, hidden, mode, forgetting, slabs, lanes, consts, seed):
+        rng = np.random.default_rng(seed)
+        model = lane_model(kind, hidden, seed, mode, forgetting)
+        masks = nets._dropout_masks(model, mode, seed)
+        state = rng.normal(size=(2, hidden) if kind in ("lstm", "final") else hidden)
+        state = tuple(state) if kind in ("lstm", "final") else state
+        patches = lane_constants(*consts)
+        x = rng.normal(size=(slabs * consts[0], 3))
+        out = np.full(len(x), np.nan)
+        lanes = min(lanes, slabs)
+        done, got = patched(patches, nets._shoot, model, x, masks, out, state, lanes)
+        assert 0 < done <= len(x) and done % consts[0] == 0
+        expect, expect_state = patched(patches, sequential_pass, model, x[:done], masks, state)
+        assert np.array_equal(out[:done], expect)
+        assert np.array_equal(np.asarray(got), np.asarray(expect_state))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(sorted(GATES)), st.integers(1, 9), st.integers(1, 6),
+           st.sampled_from([4, 8, 12]), st.integers(0, 2 ** 32 - 1))
+    def test_lane_slab_steps_like_cell_forward(self, kind, hidden, b, S, seed):
+        rng = np.random.default_rng(seed)
+        cell = nets._init_cell(rng, kind, 3, hidden)
+        for p in (cell.w, cell.u, cell.b):
+            p += rng.normal(0.0, 1.0, p.shape)
+        x = rng.normal(size=(b, S, 3))
+        s = rng.normal(size=(b, 2 if kind == "lstm" else 1, hidden))
+        start = s.copy()
+        w, u, bias, m = nets._halved(cell)
+        A = x.swapaxes(0, 1).reshape(S * b, 3) @ w.T
+        A += bias
+        H = np.empty((S, b, hidden))
+        nets._lane_slab(kind, u, m, A.reshape(S, b, -1), H, s)
+        for lane in range(b):
+            state = tuple(start[lane]) if kind == "lstm" else start[lane, 0]
+            cache = nets._cell_forward(cell, x[lane], state)
+            assert np.array_equal(H[:, lane], cache["H"])
+            assert np.array_equal(s[lane], np.reshape(cache["state"], s[lane].shape))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 64), st.integers(1, 20), st.integers(1, 17), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_per_lane_matmul_is_dot(self, rows, n, b, leading_rows, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(rows + 3, n))
+        u = u[:rows] if leading_rows else u[3:]  # the GRU's row blocks of u
+        h = rng.normal(size=(4, b, n))[2]  # one step's row of a slab buffer
+        got = np.matmul(u, h[:, :, None], np.empty((b, rows, 1)))[:, :, 0]
+        for lane in range(b):
+            assert np.array_equal(got[lane], np.dot(u, h[lane]))
+
+    def test_long_input_runs_as_lanes(self):
+        model = nets.init_final(3, seed=1)
+        x = np.random.default_rng(1).random((3 * nets._CHUNK + 100, 3))
+        with mock.patch.object(nets, "_shoot", wraps=nets._shoot) as shoot:
+            y = forward(model, x)
+        assert shoot.call_count == 1 and shoot.call_args.args[-1] == 6
+        with mock.patch.object(nets, "_LANE_MIN", 10 ** 9):
+            assert np.array_equal(y, forward(model, x))
+
+    @pytest.mark.parametrize("merge_slabs, passes, falls_back",
+                             [(2, 3, True), (256, 1, True), (256, 3, False)])
+    def test_non_forgetting_lstm(self, merge_slabs, passes, falls_back):
+        # no lane ever merges: a pass aborts after merge_slabs slabs, and each
+        # full pass proves one more of the 4 lanes
+        model = perturbed(nets.init_lstm(3, hidden=4, seed=0), np.random.default_rng(0))
+        model.cell.b[4:8] += 50.0  # the forget gate is 1 in float64
+        x = np.random.default_rng(3).normal(size=(300, 3))
+        patches = lane_constants(4, 2, 4, 4, 8, merge_slabs, passes)
+        calls, real = [], nets._shoot
+
+        def recording(model, x, *args):
+            done, state = real(model, x, *args)
+            calls.append(bool(done < len(x)))
+            return done, state
+
+        with mock.patch.object(nets, "_shoot", recording):
+            y = patched(patches, forward, model, x)
+        assert calls[-1] is falls_back and not any(calls[:-1])
+        expect = patched(patches + [mock.patch.object(nets, "_LANE_MIN", 10 ** 9)],
+                         forward, model, x)
+        assert np.array_equal(y, expect)
+
+    def test_merge_compares_c_as_well_as_h(self):
+        # c climbs by about 1 a frame for 200 frames and then falls: h = tanh(c)
+        # is exactly 1 wherever c > 20, so a lane started from a wrong c shows
+        # the true h there but departs from it once c falls
+        model = nets.init_lstm(1, hidden=1, seed=0)
+        model.cell.w[:] = [[0.0], [0.0], [0.0], [10.0]]
+        model.cell.u[:] = 0.0
+        model.cell.b[:] = [50.0, 50.0, 50.0, 0.0]
+        x = np.repeat([1.0, -1.0], 200)[:, None]
+        patches = lane_constants(4, 2, 2, 4, 50, 256, 3)
+        y = patched(patches, forward, model, x)
+        expect = patched(patches + [mock.patch.object(nets, "_LANE_MIN", 10 ** 9)],
+                         forward, model, x)
+        assert np.array_equal(y, expect)
 
 
 class TestDecide:
