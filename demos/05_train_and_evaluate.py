@@ -47,6 +47,6 @@ print(f"rule-based channel baseline: PQ {baseline.pq:.4f}")
 text = nets.save_model(model, extra={"features": spec.to_dict(),
                                      "threshold": threshold})
 restored, meta = nets.load_model(text)
-assert np.array_equal(nets.get_flat(restored), nets.get_flat(model))
+assert np.array_equal(restored.flat, model.flat)
 print(f"checkpoint round trip OK ({len(text)} bytes, threshold "
       f"{meta['threshold']:.2f})")

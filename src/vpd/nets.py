@@ -6,7 +6,12 @@ dropout transformation before each dense layer.  Logistic regression and the
 MLP baseline are the cell-free special cases.  ``backward`` runs full
 backpropagation through time over the sequence; gradients are exact for the
 weighted-MSE-plus-derivative-penalty loss and are validated against central
-finite differences in the test suite.
+finite differences and complex-step derivatives in the test suite.
+
+A model owns one float64 buffer, ``ModelParams.flat``, and its named arrays
+(``cell.w``, ``dense[i].bias``, ...) are views into it, laid out by
+``param_arrays``: write through them (``cell.u *= 2``), since rebinding one
+detaches it.  ``backward`` returns the gradient as one vector of that layout.
 
 ``forward`` runs a long input's chunks as lanes of one batched recurrence
 and corrects them until they merge with the sequential pass (multiple
@@ -18,7 +23,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,11 +133,16 @@ class CellParams:
 
 @dataclass
 class ModelParams:
+    """A cell and dense stack whose parameters live in one buffer, ``flat``:
+    ``__post_init__`` copies the given arrays into it and rebinds them as its
+    views.  Rebinding a named array later detaches it; write through it."""
+
     variant: str
     cell: CellParams | None
     dense: list[DenseParams]
     dropout_p: float = 0.0
     seed: int | None = None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -148,44 +158,42 @@ class ModelParams:
             if dims[-1] is not None and layer.in_dim != dims[-1]:
                 raise ValueError("dense layer dimensions do not chain")
             dims.append(layer.out_dim)
+        slots = _slots(self)
+        self.flat = np.concatenate([np.ravel(getattr(owner, attr)) for _, owner, attr in slots],
+                                   dtype=np.float64)
+        for (_, owner, attr), (_, view) in zip(slots, param_arrays(self)):
+            setattr(owner, attr, view)
 
     @property
     def in_dim(self) -> int:
         return self.cell.in_dim if self.cell is not None else self.dense[0].in_dim
 
     def copy(self) -> "ModelParams":
-        return copy.deepcopy(self)
+        """A copy with its own buffer (``deepcopy`` detaches the views: repack)."""
+        return replace(self, cell=copy.deepcopy(self.cell), dense=copy.deepcopy(self.dense))
 
 
-def param_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Named parameter arrays in a fixed, stable order."""
-    out: list[tuple[str, np.ndarray]] = []
-    if model.cell is not None:
-        out += [("cell.w", model.cell.w), ("cell.u", model.cell.u), ("cell.b", model.cell.b)]
-    for i, layer in enumerate(model.dense):
-        out += [(f"dense{i}.weights", layer.weights), (f"dense{i}.bias", layer.bias)]
-    return out
+def _slots(model: ModelParams) -> list[tuple[str, object, str]]:
+    """(name, owner, attribute) of each parameter array, in buffer order."""
+    slots = [] if model.cell is None else [(f"cell.{p}", model.cell, p) for p in "wub"]
+    return slots + [(f"dense{i}.{p}", layer, p) for i, layer in enumerate(model.dense)
+                    for p in ("weights", "bias")]
 
 
-def get_flat(model: ModelParams) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in param_arrays(model)])
-
-
-def set_flat(model: ModelParams, flat: np.ndarray) -> None:
-    pos = 0
-    for _, arr in param_arrays(model):
-        arr.flat[:] = flat[pos:pos + arr.size]
+def param_arrays(model: ModelParams, flat: np.ndarray | None = None
+                 ) -> list[tuple[str, np.ndarray]]:
+    """Named views into ``flat`` (the model's buffer by default) in buffer
+    order: the one map from names to offsets.  ``flat`` may be a gradient, a
+    complex perturbation, or a ``(B, P)`` stack, giving views ``(B, *shape)``."""
+    flat = model.flat if flat is None else flat
+    out, pos = [], 0
+    for name, owner, attr in _slots(model):
+        arr = getattr(owner, attr)
+        out.append((name, flat[..., pos:pos + arr.size].reshape(flat.shape[:-1] + arr.shape)))
         pos += arr.size
-    if pos != flat.size:
-        raise ValueError(f"flat vector length {flat.size} != parameter count {pos}")
-
-
-def zero_grads(model: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in param_arrays(model)}
-
-
-def grads_flat(model: ModelParams, grads: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([grads[name].ravel() for name, _ in param_arrays(model)])
+    if pos != flat.shape[-1]:
+        raise ValueError(f"flat vector length {flat.shape[-1]} != parameter count {pos}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +721,9 @@ def _cell_backward(cell: CellParams, cache: dict, dH: np.ndarray, grads):
 
 
 def backward(model: ModelParams, x: np.ndarray, targets: np.ndarray, loss_spec,
-             mode: str = "eval", rng=None) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and exact gradients for one sequence, accumulated over all frames.
+             mode: str = "eval", rng=None) -> tuple[float, np.ndarray]:
+    """Loss and exact gradient for one sequence, accumulated over all frames;
+    the gradient is one vector laid out like ``model.flat`` (see ``param_arrays``).
 
     With ``mode='train'`` the dropout masks are drawn once and shared by the
     forward pass and the gradients (gradients are exact for the sampled masks).
@@ -728,11 +737,12 @@ def backward(model: ModelParams, x: np.ndarray, targets: np.ndarray, loss_spec,
         raise ValueError(f"targets shape {targets.shape} != outputs {y.shape}")
     value = loss_value(y, targets, loss_spec)
     dY = loss_output_grad(y, targets, loss_spec)[:, None]
-    grads = zero_grads(model)
+    grad = np.zeros_like(model.flat)
+    grads = dict(param_arrays(model, grad))
     dA0 = _dense_backward(model, dY, dense_caches, masks, grads)
     if model.cell is not None:
         _cell_backward(model.cell, cell_cache, dA0, grads)
-    return value, grads
+    return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -63,45 +63,34 @@ class TrainConfig(DictConfig):
             raise ValueError("learning_rate must be >= 0")
 
 
-class _Adam:
-    def __init__(self, config: TrainConfig, shapes: dict):
-        self.cfg = config
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
-        self.t = 0
+class _Optimizer:
+    """Adam, or plain SGD, per ``config.optimizer``, on the whole parameter buffer."""
 
-    def step(self, arrays: dict, grads: dict) -> None:
+    def __init__(self, config: TrainConfig, size: int):
+        self.cfg, self.m, self.v, self.t = config, np.zeros(size), np.zeros(size), 0
+
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         cfg = self.cfg
+        if cfg.optimizer == "sgd":
+            flat -= cfg.learning_rate * grad
+            return
         self.t += 1
         correction1 = 1.0 - cfg.beta1 ** self.t
         correction2 = 1.0 - cfg.beta2 ** self.t
-        for name, arr in arrays.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            arr -= cfg.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + cfg.eps)
+        self.m *= cfg.beta1
+        self.m += (1.0 - cfg.beta1) * grad
+        self.v *= cfg.beta2
+        self.v += (1.0 - cfg.beta2) * grad * grad
+        flat -= cfg.learning_rate * (self.m / correction1) / (
+            np.sqrt(self.v / correction2) + cfg.eps)
 
 
-class _SGD:
-    def __init__(self, config: TrainConfig, shapes: dict):
-        self.cfg = config
-
-    def step(self, arrays: dict, grads: dict) -> None:
-        for name, arr in arrays.items():
-            arr -= self.cfg.learning_rate * grads[name]
-
-
-def _clip_global_norm(grads: dict, max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def _clip_global_norm(model: nets.ModelParams, grad: np.ndarray, max_norm: float) -> None:
+    """Scale ``grad`` down to norm ``max_norm`` if longer.  The square norm is
+    summed per array in ``param_arrays`` order: one sum would round otherwise."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for _, g in nets.param_arrays(model, grad)))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
 
 
 def train(model_init: nets.ModelParams,
@@ -116,9 +105,7 @@ def train(model_init: nets.ModelParams,
     if not dataset:
         raise ValueError("empty training dataset")
     model = model_init.copy()
-    arrays = dict(nets.param_arrays(model))
-    shapes = {k: v.shape for k, v in arrays.items()}
-    opt = (_Adam if config.optimizer == "adam" else _SGD)(config, shapes)
+    opt = _Optimizer(config, model.flat.size)
     order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
 
     trace = []
@@ -131,13 +118,13 @@ def train(model_init: nets.ModelParams,
             x, targets = dataset[file_idx]
             drop_rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, epoch, int(file_idx)]))
-            value, grads = nets.backward(model, x, targets, config.loss,
-                                         mode="train", rng=drop_rng)
+            value, grad = nets.backward(model, x, targets, config.loss,
+                                        mode="train", rng=drop_rng)
             if not np.isfinite(value):
                 raise DivergenceError(epoch, value)
             if config.clip_norm is not None:
-                _clip_global_norm(grads, config.clip_norm)
-            opt.step(arrays, grads)
+                _clip_global_norm(model, grad, config.clip_norm)
+            opt.step(model.flat, grad)
             epoch_losses.append(value)
         trace.append(float(np.mean(epoch_losses)))
     return model, trace

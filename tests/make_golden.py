@@ -6,8 +6,11 @@ down) and returns what a "same numbers" change must keep: the selected
 thresholds, training and test PQ as ``repr`` strings, the per-epoch training
 losses, the sha256 of each saved checkpoint, and the sha256 of a multi-chunk
 ``forward`` on a long input and of a 2·10⁴-frame ``forward`` of each
-recurrent cell kind.  ``tests/test_golden.py`` recomputes it and
-compares with ``tests/data/golden.json``.
+recurrent cell kind.  A third run trains the ``final`` model for two epochs
+on six of the files with a ``clip_norm`` below most of its gradient norms,
+under Adam and under SGD, and keeps its losses and checkpoint digest: the
+only figures that change when the clipping changes.  ``tests/test_golden.py``
+recomputes it all and compares with ``tests/data/golden.json``.
 
 Run from the repository root to rewrite the file after a change that moves a
 figure on purpose (and say in CHANGES.md which figure moved and why)::
@@ -40,6 +43,12 @@ LONG_FRAMES = 5000
 #: frames of the per-cell ``forward`` inputs: long enough to run as lanes
 CELL_FRAMES = 20_000
 
+#: ``clip_norm`` of the clipping run, below the gradient norm of most of its updates
+CLIP_NORM = 0.15
+
+#: learning rate of each optimizer in the clipping run
+CLIP_LEARNING_RATES = {"adam": 1e-2, "sgd": 0.2}
+
 
 def platform_info() -> dict:
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
@@ -64,6 +73,19 @@ def _run(model, spec, train_series, test_series, config, morph):
             "checkpoint_sha256": _sha256(checkpoint)}
 
 
+def _clipped(spec, train_series, loss) -> dict:
+    pairs = sequences_from_series(train_series[:6], spec)
+    out = {}
+    for optimizer, rate in CLIP_LEARNING_RATES.items():
+        model = nets.init_final(spec.dim, lstm_units=16, dense_units=8, dropout_p=0.2, seed=0)
+        config = TrainConfig(epochs=2, seed=0, optimizer=optimizer, learning_rate=rate,
+                             clip_norm=CLIP_NORM, loss=loss)
+        model, losses = train(model, pairs, config)
+        out[optimizer] = {"losses": losses,
+                          "checkpoint_sha256": _sha256(nets.save_model(model))}
+    return out
+
+
 def compute() -> dict:
     config = synth.paper_like_preset(n_files=20, seed=42)
     series = {log.source_id: densify(log) for log in synth.generate_corpus(config)}
@@ -73,9 +95,8 @@ def compute() -> dict:
 
     spec = FeatureSpec()
     final = nets.init_final(spec.dim, lstm_units=16, dense_units=8, dropout_p=0.2, seed=0)
-    final_cfg = TrainConfig(epochs=3, seed=0, loss=LossSpec(positive_weight=2.0,
-                                                           negative_weight=1.0,
-                                                           derivative_lambda=0.05))
+    loss = LossSpec(positive_weight=2.0, negative_weight=1.0, derivative_lambda=0.05)
+    final_cfg = TrainConfig(epochs=3, seed=0, loss=loss)
     lr_spec = FeatureSpec(window=8)
     lr = nets.init_lr(lr_spec.dim, seed=0)
 
@@ -88,6 +109,7 @@ def compute() -> dict:
         "final": _run(final, spec, train_series, test_series, final_cfg, MorphFilterSpec()),
         "lr": _run(lr, lr_spec, train_series, test_series, TrainConfig(epochs=3, seed=0),
                    None),
+        "clipped": _clipped(spec, train_series, loss),
         "long_forward_sha256": _sha256(nets.forward(final, x).tobytes()),
         "cell_forward_sha256": {kind: _sha256(y.tobytes()) for kind, y in cells.items()},
     }

@@ -2,10 +2,13 @@
 
 Each entry of ``MUTANTS`` names a file under ``src/vpd``, a piece of its text
 that occurs exactly once, the text that replaces it, and the tests that must
-catch the change.  Every mutant is applied to a fresh temporary copy of
+catch the change, and optionally tests that must still pass on it: a
+mutant that a weaker oracle lets through, to show why a stronger one is
+there.  Every mutant is applied to a fresh temporary copy of
 ``src/`` and ``tests/``, never to the working tree, and only its tests run
-there.  The listed tests are first run once on an unmutated copy: a mutant
-counts as killed only if tests that pass on the real code fail on it.
+there.  All listed tests are first run once on an unmutated copy: a mutant
+counts as killed only if tests that pass on the real code fail on it, and
+its ``survives`` tests still pass.
 
 Run by hand from the repository root (Tier-1 does not collect this file)::
 
@@ -36,6 +39,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]
+    survives: tuple[str, ...] = ()
 
 
 NETS = "tests/test_nets.py"
@@ -44,6 +48,9 @@ STREAMED = f"{NETS}::TestStreamedForward"
 TIGHT = f"{NETS}::TestTightenedLoops"
 SHOOT = f"{NETS}::TestShootingForward"
 TRAINING = "tests/test_training.py"
+BUFFER = f"{NETS}::TestFlatBuffer"
+PER_ARRAY = f"{TRAINING}::TestTrain::test_whole_buffer_steps_match_per_array_steps"
+GOLDEN = "tests/test_golden.py"
 
 MUTANTS = [
     # the hoisted recurrent backward pass
@@ -58,7 +65,12 @@ MUTANTS = [
            (HOISTED, f"{NETS}::TestBackward")),
     Mutant("one gradient scaled by (1 + 1e-15)", "nets.py",
            'grads["cell.b"] += dZ.sum(axis=0)', 'grads["cell.b"] += dZ.sum(axis=0) * (1 + 1e-15)',
-           ("tests/test_golden.py",)),
+           (GOLDEN,)),
+    Mutant("one gradient scaled by (1 + 1e-9)", "nets.py",
+           'grads[f"dense{idx}.bias"] += dZ.sum(axis=0)',
+           'grads[f"dense{idx}.bias"] += dZ.sum(axis=0) * (1 + 1e-9)',
+           ("tests/test_complex_step.py",),
+           survives=("tests/test_acceptance.py::test_c2_gradient_correctness",)),
     Mutant("gru candidate's u gradient against h_prev, not r * h_prev", "nets.py",
            'grads["cell.u"][2 * n:] += dZ[:, 2 * n:].T @ cache["RH"]',
            'grads["cell.u"][2 * n:] += dZ[:, 2 * n:].T @ H_prev',
@@ -126,6 +138,18 @@ MUTANTS = [
     Mutant("legacy per-gate checkpoints stacked in reverse gate order", "nets.py",
            'for g in GATES[kind]])', "for g in GATES[kind][::-1]])",
            (f"{NETS}::TestLegacyCheckpoint",)),
+    # one parameter buffer per model, stepped whole by the optimizer
+    Mutant("copy() without rebuilding the views", "nets.py",
+           "replace(self, cell=copy.deepcopy(self.cell), dense=copy.deepcopy(self.dense))",
+           "copy.deepcopy(self)",
+           (BUFFER, GOLDEN)),
+    Mutant("the clip sums every array but the last", "training.py",
+           "for _, g in nets.param_arrays(model, grad))",
+           "for _, g in nets.param_arrays(model, grad)[:-1])",
+           (PER_ARRAY, GOLDEN)),
+    Mutant("Adam drops its second bias correction", "training.py",
+           "np.sqrt(self.v / correction2)", "np.sqrt(self.v)",
+           (PER_ARRAY,)),
     # fit: train, then the threshold sweep on the same inputs
     Mutant("fit sweeps without the post filter", "training.py",
            "_pick_threshold(model, dataset, config.threshold_grid, post_filter)",
@@ -216,6 +240,8 @@ def run(mutant: Mutant) -> str:
         if text.count(mutant.old) != 1:
             return f"text found {text.count(mutant.old)} times, expected once"
         path.write_text(text.replace(mutant.old, mutant.new))
+        if mutant.survives and _pytest(tree, mutant.survives) != 0:
+            return "caught by a test it should survive"
         code = _pytest(tree, mutant.tests)
     return {0: "survived", 1: "killed"}.get(code, f"pytest exit code {code}")
 
@@ -225,7 +251,7 @@ def main(argv=None) -> int:
     parser.add_argument("-k", default="", help="run only mutants whose name contains this")
     args = parser.parse_args(argv)
     chosen = [m for m in MUTANTS if args.k in m.name]
-    tests = sorted({t for m in chosen for t in m.tests})
+    tests = sorted({t for m in chosen for t in m.tests + m.survives})
     with tempfile.TemporaryDirectory(prefix="vpd-mutant-") as tmp:
         _copy_tree(Path(tmp))
         if _pytest(Path(tmp), tests) != 0:

@@ -2,9 +2,9 @@
 ``tests/data/golden.json`` (see ``tests/make_golden.py``).
 
 Thresholds, PQs and checkpoint digests are compared exactly, the per-epoch
-losses within 1e-12.  A mismatch prints the platform the file was made on
-beside this one, so that a numpy, scipy or BLAS change can be told apart from
-a code change.
+losses within 1e-12; the clipping run's digests pin the clip's bits.  A
+mismatch prints the platform the file was made on beside this one, so that a
+numpy, scipy or BLAS change can be told apart from a code change.
 """
 import json
 
@@ -51,3 +51,18 @@ def test_long_forward(golden, figures):
 def test_cell_forward(golden, figures, kind):
     assert (figures["cell_forward_sha256"][kind]
             == golden["figures"]["cell_forward_sha256"][kind]), _context(golden)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_clipped_checkpoint(golden, figures, optimizer):
+    assert (figures["clipped"][optimizer]["checkpoint_sha256"]
+            == golden["figures"]["clipped"][optimizer]["checkpoint_sha256"]), _context(golden)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_clipped_losses(golden, figures, optimizer):
+    expect = golden["figures"]["clipped"][optimizer]["losses"]
+    got = figures["clipped"][optimizer]["losses"]
+    assert len(got) == len(expect), _context(golden)
+    assert max(abs(a - b) for a, b in zip(got, expect)) <= 1e-12, (got, expect,
+                                                                   _context(golden))

@@ -29,7 +29,7 @@ def make_series(ref, **channels):
 class TestEvaluateModel:
     def constant_model(self):
         model = nets.init_lr(3, seed=0)
-        nets.set_flat(model, np.zeros(nets.get_flat(model).size))
+        model.flat[:] = 0.0
         return model
 
     def test_all_zero_prediction_on_empty_reference(self):
@@ -96,10 +96,9 @@ class TestEvaluateModel:
         noisy[30] = 0
         series = [make_series(ref, shield=noisy, loop=noisy, cor=noisy)]
         model = nets.init_lr(3, seed=0)
-        flat = np.zeros(nets.get_flat(model).size)
-        flat[0] = 10.0   # shield weight
-        flat[3] = -5.0   # bias: idle frames land well below the threshold
-        nets.set_flat(model, flat)
+        model.flat[:] = 0.0
+        model.flat[0] = 10.0   # shield weight
+        model.flat[3] = -5.0   # bias: idle frames land well below the threshold
         plain = evaluate_model(model, 0.5, series, FeatureSpec())
         filtered = evaluate_model(model, 0.5, series, FeatureSpec(),
                                   post_filter=MorphFilterSpec(3, 3))

@@ -19,18 +19,16 @@ from vpd.nets import GATES, CellParams, cell_step, forward
 from vpd.training import LossSpec
 
 
-def fd_gradient(model, x, targets, spec, eps=1e-5):
-    flat = nets.get_flat(model)
+def fd_gradient(model, x, targets, spec, eps=1e-5, mode="eval", rng=None):
+    """Central differences of the loss, one parameter of ``model.flat`` at a time."""
+    flat = model.flat
     out = np.zeros_like(flat)
     for i in range(flat.size):
         flat[i] += eps
-        nets.set_flat(model, flat)
-        lp = nets.loss_value(forward(model, x), targets, spec)
+        lp = nets.loss_value(forward(model, x, mode, rng), targets, spec)
         flat[i] -= 2 * eps
-        nets.set_flat(model, flat)
-        lm = nets.loss_value(forward(model, x), targets, spec)
+        lm = nets.loss_value(forward(model, x, mode, rng), targets, spec)
         flat[i] += eps
-        nets.set_flat(model, flat)
         out[i] = (lp - lm) / (2 * eps)
     return out
 
@@ -42,9 +40,7 @@ def stacked_cell(kind, kw):
 
 
 def perturbed(model, rng, scale=0.4):
-    flat = nets.get_flat(model)
-    flat += rng.normal(0.0, scale, flat.size)
-    nets.set_flat(model, flat)
+    model.flat += rng.normal(0.0, scale, model.flat.size)
     return model
 
 
@@ -318,7 +314,7 @@ class TestCellStep:
 class TestForward:
     def test_zero_params_give_half(self):
         model = nets.init_lr(3, seed=0)
-        nets.set_flat(model, np.zeros(nets.get_flat(model).size))
+        model.flat[:] = 0.0
         y = forward(model, np.ones((5, 3)))
         assert np.allclose(y, 0.5)
 
@@ -597,7 +593,7 @@ class TestDecide:
     def half_probs():
         # a zero-parameter model outputs exactly 0.5 on every frame
         model = nets.init_lr(3, seed=0)
-        nets.set_flat(model, np.zeros(nets.get_flat(model).size))
+        model.flat[:] = 0.0
         return forward(model, np.zeros((4, 3)))
 
     def test_tie_goes_to_one(self):
@@ -627,9 +623,10 @@ class TestBackward:
     def test_hand_derived_length_one(self):
         # zero params, one frame, target 0: y = 0.5, d loss/d bias = 2*0.5*0.25
         model = nets.init_lr(2, seed=0)
-        nets.set_flat(model, np.zeros(3))
+        model.flat[:] = np.zeros(3)
         x = np.array([[0.3, -0.7]])
-        value, grads = nets.backward(model, x, np.array([0.0]), LossSpec())
+        value, grad = nets.backward(model, x, np.array([0.0]), LossSpec())
+        grads = dict(nets.param_arrays(model, grad))
         assert value == pytest.approx(0.25)
         assert grads["dense0.bias"][0] == pytest.approx(0.25)
         assert np.allclose(grads["dense0.weights"], 0.25 * x)
@@ -648,11 +645,12 @@ class TestBackward:
         model = perturbed(nets.init_lstm(3, hidden=4, seed=2), rng)
         x = rng.random((12, 3))
         targets = rng.integers(0, 2, 12).astype(float)
-        _, g1 = nets.backward(model, x, targets, LossSpec(derivative_lambda=0.0))
+        _, grad1 = nets.backward(model, x, targets, LossSpec(derivative_lambda=0.0))
         y = forward(model, x)
         plain = nets.loss_output_grad(y, targets, LossSpec())
         assert np.allclose(plain, 2.0 * (y - targets) / 12)
-        _, g2 = nets.backward(model, x, targets, LossSpec())
+        _, grad2 = nets.backward(model, x, targets, LossSpec())
+        g1, g2 = (dict(nets.param_arrays(model, g)) for g in (grad1, grad2))
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
 
@@ -665,8 +663,7 @@ class TestBackward:
             model = perturbed(ALL_BUILDERS[name](trial), rng)
             x = rng.random((10, 3))
             targets = rng.integers(0, 2, 10).astype(float)
-            _, grads = nets.backward(model, x, targets, spec)
-            analytic = nets.grads_flat(model, grads)
+            _, analytic = nets.backward(model, x, targets, spec)
             numeric = fd_gradient(model, x, targets, spec)
             rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
             assert rel.max() < 1e-4
@@ -680,21 +677,8 @@ class TestBackward:
         x = rng.random((8, 3))
         targets = rng.integers(0, 2, 8).astype(float)
         spec = LossSpec()
-        _, grads = nets.backward(model, x, targets, spec, mode="train", rng=99)
-        analytic = nets.grads_flat(model, grads)
-        flat = nets.get_flat(model)
-        numeric = np.zeros_like(flat)
-        eps = 1e-5
-        for i in range(flat.size):
-            flat[i] += eps
-            nets.set_flat(model, flat)
-            lp = nets.loss_value(forward(model, x, mode="train", rng=99), targets, spec)
-            flat[i] -= 2 * eps
-            nets.set_flat(model, flat)
-            lm = nets.loss_value(forward(model, x, mode="train", rng=99), targets, spec)
-            flat[i] += eps
-            nets.set_flat(model, flat)
-            numeric[i] = (lp - lm) / (2 * eps)
+        _, analytic = nets.backward(model, x, targets, spec, mode="train", rng=99)
+        numeric = fd_gradient(model, x, targets, spec, mode="train", rng=99)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert rel.max() < 1e-4
 
@@ -720,11 +704,12 @@ class TestHoistedBackward:
         x = rng.normal(size=(T, 3))
         targets = rng.integers(0, 2, T).astype(float)
         spec = LossSpec(positive_weight=2.0, negative_weight=0.7, derivative_lambda=0.05)
-        value, grads = nets.backward(model, x, targets, spec, mode=mode, rng=seed)
+        value, grad = nets.backward(model, x, targets, spec, mode=mode, rng=seed)
         with mock.patch.object(nets, "_cell_backward", loop_cell_backward):
-            expect_value, expect_grads = nets.backward(model, x, targets, spec, mode=mode,
-                                                       rng=seed)
+            expect_value, expect_grad = nets.backward(model, x, targets, spec, mode=mode,
+                                                      rng=seed)
         assert value == expect_value
+        grads, expect_grads = (dict(nets.param_arrays(model, g)) for g in (grad, expect_grad))
         for key, expect in expect_grads.items():
             assert np.max(np.abs(grads[key] - expect)) <= 1e-12, key
 
@@ -821,7 +806,7 @@ class TestSerialization:
         loaded, meta = nets.load_model(text)
         assert meta["threshold"] == 0.4
         assert loaded.variant == model.variant
-        assert np.array_equal(nets.get_flat(loaded), nets.get_flat(model))
+        assert np.array_equal(loaded.flat, model.flat)
         x = np.random.default_rng(0).random((6, 3))
         assert np.array_equal(forward(loaded, x), forward(model, x))
 
@@ -893,3 +878,79 @@ class TestLegacyCheckpoint:
         del doc["params"]["cell.u_f"]
         with pytest.raises(ValueError, match="cell.u_f"):
             nets.load_model(json.dumps(doc))
+
+
+def named_arrays(model):
+    """Each parameter array by attribute, in the order the buffer lays them out."""
+    arrays = [] if model.cell is None else [model.cell.w, model.cell.u, model.cell.b]
+    for layer in model.dense:
+        arrays += [layer.weights, layer.bias]
+    return arrays
+
+
+BUFFER_SOURCES = [f"{name}-{how}" for name in sorted(ALL_BUILDERS)
+                  for how in ("fresh", "copy", "load_model")] + ["legacy-lstm", "legacy-gru"]
+
+
+def buffered_model(source):
+    """A model made as ``source`` says: ``<variant>-<fresh|copy|load_model>``
+    or ``legacy-<kind>`` for ``tests/data/legacy_<kind>.json``."""
+    name, how = source.split("-")
+    if name == "legacy":
+        return nets.load_model((LEGACY / f"legacy_{how}.json").read_text())[0]
+    model = ALL_BUILDERS[name](3)
+    if how == "copy":
+        return model.copy()
+    return nets.load_model(nets.save_model(model))[0] if how == "load_model" else model
+
+
+class TestFlatBuffer:
+    """``ModelParams.flat`` holds every parameter; the named arrays are views
+    into it, in ``param_arrays`` order."""
+
+    @pytest.mark.parametrize("source", BUFFER_SOURCES)
+    def test_named_arrays_are_views(self, source):
+        model = buffered_model(source)
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=model.flat.size)
+        model.flat[:] = values
+        assert np.array_equal(np.concatenate([a.ravel() for a in named_arrays(model)]), values)
+        written = [rng.normal(size=a.shape) for a in named_arrays(model)]
+        for arr, value in zip(named_arrays(model), written):
+            arr[...] = value
+        assert np.array_equal(model.flat, np.concatenate([v.ravel() for v in written]))
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", sorted(ALL_BUILDERS))
+    def test_copy_owns_its_buffer(self, name):
+        model = ALL_BUILDERS[name](3)
+        before = model.flat.copy()
+        twin = model.copy()
+        assert not np.shares_memory(twin.flat, model.flat)
+        assert np.array_equal(twin.flat, before)
+        twin.flat += 1.0
+        assert np.array_equal(model.flat, before)
+        assert np.array_equal(np.concatenate([a.ravel() for a in named_arrays(model)]), before)
+        x = np.random.default_rng(1).random((6, 3))
+        assert not np.array_equal(forward(twin, x), forward(model, x))
+
+    def test_param_arrays_names_and_layout(self):
+        model = ALL_BUILDERS["final"](0)
+        assert [name for name, _ in nets.param_arrays(model)] == [
+            "cell.w", "cell.u", "cell.b", "dense0.weights", "dense0.bias",
+            "dense1.weights", "dense1.bias"]
+        for (_, view), arr in zip(nets.param_arrays(model), named_arrays(model)):
+            assert np.shares_memory(view, model.flat) and np.array_equal(view, arr)
+
+    def test_param_arrays_of_other_vectors(self):
+        model = ALL_BUILDERS["gru"](0)
+        size = model.flat.size
+        stack = np.arange(2.0 * size).reshape(2, size)
+        views = nets.param_arrays(model, stack)
+        for row in range(2):
+            assert np.array_equal(np.concatenate([v[row].ravel() for _, v in views]),
+                                  stack[row])
+        for (_, view), arr in zip(views, named_arrays(model)):
+            assert view.shape == (2,) + arr.shape
+        with pytest.raises(ValueError, match="parameter count"):
+            nets.param_arrays(model, np.zeros(size + 1))

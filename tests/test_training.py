@@ -60,6 +60,83 @@ post_filters = st.one_of(st.none(), st.builds(MorphFilterSpec, st.integers(1, 5)
                                                                "open-then-close"])))
 
 
+class PerArrayAdam:
+    """Adam over a dict of named arrays, one array at a time: the oracle for
+    ``training._Adam``, which steps the whole buffer at once."""
+
+    def __init__(self, config, shapes):
+        self.cfg = config
+        self.m = {k: np.zeros(s) for k, s in shapes.items()}
+        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.t = 0
+
+    def step(self, arrays, grads):
+        cfg = self.cfg
+        self.t += 1
+        correction1 = 1.0 - cfg.beta1 ** self.t
+        correction2 = 1.0 - cfg.beta2 ** self.t
+        for name, arr in arrays.items():
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            arr -= cfg.learning_rate * (m / correction1) / (
+                np.sqrt(v / correction2) + cfg.eps)
+
+
+class PerArraySGD:
+    def __init__(self, config, shapes):
+        self.cfg = config
+
+    def step(self, arrays, grads):
+        for name, arr in arrays.items():
+            arr -= self.cfg.learning_rate * grads[name]
+
+
+def per_array_clip(grads, max_norm):
+    """Clip a dict of named gradients to global norm ``max_norm``; whether it
+    fired."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+        return True
+    return False
+
+
+def per_array_train(model_init, dataset, config):
+    """``train`` with the gradient split into named arrays and the optimizer
+    and clip run one array at a time: (model, losses, updates clipped)."""
+    model = model_init.copy()
+    arrays = dict(nets.param_arrays(model))
+    shapes = {k: v.shape for k, v in arrays.items()}
+    opt = (PerArrayAdam if config.optimizer == "adam" else PerArraySGD)(config, shapes)
+    order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
+    trace, clipped = [], 0
+    for epoch in range(config.epochs):
+        order = np.arange(len(dataset))
+        if config.shuffle_files:
+            order_rng.shuffle(order)
+        epoch_losses = []
+        for file_idx in order:
+            x, targets = dataset[file_idx]
+            drop_rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, epoch, int(file_idx)]))
+            value, grad = nets.backward(model, x, targets, config.loss, mode="train",
+                                        rng=drop_rng)
+            grads = {name: g.copy() for name, g in nets.param_arrays(model, grad)}
+            if config.clip_norm is not None:
+                clipped += per_array_clip(grads, config.clip_norm)
+            opt.step(arrays, grads)
+            epoch_losses.append(value)
+        trace.append(float(np.mean(epoch_losses)))
+    return model, trace, clipped
+
+
 class TestLoss:
     def test_zero_on_perfect_output(self):
         t = np.array([0.0, 1.0, 1.0, 0.0])
@@ -116,11 +193,11 @@ class TestTrain:
         rng = np.random.default_rng(0)
         dataset = self.small_dataset(rng)
         model = nets.init_lstm(3, hidden=4, seed=1)
-        before = nets.get_flat(model).copy()
+        before = model.flat.copy()
         trained, _ = train(model, dataset, TrainConfig(epochs=3, learning_rate=0.0))
-        assert np.array_equal(nets.get_flat(trained), before)
+        assert np.array_equal(trained.flat, before)
         # and the input model itself is never mutated
-        assert np.array_equal(nets.get_flat(model), before)
+        assert np.array_equal(model.flat, before)
 
     def test_sgd_single_file_loss_non_increasing(self):
         rng = np.random.default_rng(1)
@@ -148,13 +225,29 @@ class TestTrain:
         model = nets.init_final(3, lstm_units=4, dense_units=3, seed=5)
         a, trace_a = train(model, dataset, cfg)
         b, trace_b = train(model, dataset, cfg)
-        assert np.array_equal(nets.get_flat(a), nets.get_flat(b))
+        assert np.array_equal(a.flat, b.flat)
         assert trace_a == trace_b
+
+    @pytest.mark.parametrize("optimizer,rate", [("adam", 1e-2), ("sgd", 0.3)])
+    def test_whole_buffer_steps_match_per_array_steps(self, optimizer, rate):
+        # the clip fires on most updates, so its norm and scale are pinned too
+        rng = np.random.default_rng(11)
+        dataset = self.small_dataset(rng, n_files=5)
+        cfg = TrainConfig(epochs=3, seed=4, optimizer=optimizer, learning_rate=rate,
+                          clip_norm=0.05, loss=LossSpec(positive_weight=2.0,
+                                                        derivative_lambda=0.05))
+        model = nets.init_final(3, lstm_units=4, dense_units=3, dropout_p=0.3, seed=2)
+        trained, losses = train(model, dataset, cfg)
+        expect, expect_losses, clipped = per_array_train(model, dataset, cfg)
+        assert clipped >= 10
+        assert losses == expect_losses
+        assert np.array_equal(trained.flat, expect.flat)
+        assert not np.array_equal(trained.flat, model.flat)
 
     def test_divergence_raises_with_epoch(self):
         x = np.ones((10, 3))
         model = nets.init_mlp(3, seed=0)
-        nets.set_flat(model, np.full(nets.get_flat(model).size, np.nan))
+        model.flat[:] = np.nan
         with pytest.raises(DivergenceError) as exc:
             train(model, [(x, np.zeros(10))], TrainConfig(epochs=2))
         assert exc.value.epoch == 0
@@ -213,7 +306,7 @@ class TestSelectThreshold:
     def constant_half_model(self):
         # all-zero parameters give a constant sigmoid(0) = 0.5 output
         model = nets.init_lr(3, seed=0)
-        nets.set_flat(model, np.zeros(nets.get_flat(model).size))
+        model.flat[:] = 0.0
         return model
 
     def test_constant_output_all_zero_ref(self):
@@ -315,7 +408,7 @@ class TestFit:
                                          post_filter=post_filter)
         fitted, fit_losses, fit_threshold, fit_pq = fit(
             model, sequences_from_series(series, spec), config, post_filter)
-        assert np.array_equal(nets.get_flat(fitted), nets.get_flat(trained))
+        assert np.array_equal(fitted.flat, trained.flat)
         assert fit_losses == losses
         assert (repr(fit_threshold), repr(fit_pq)) == (repr(threshold), repr(pq))
 
